@@ -57,13 +57,11 @@ class Component:
 
 
 class Chart:
-    def __init__(self, path, form, divisor, exceptional_var=None, subst=None, r=None):
+    def __init__(self, path, form, divisor, exceptional_var=None):
         self.path = tuple(path)
         self.form = form            # saturated plain OneForm in local coordinates
         self.divisor = dict(divisor)  # local variable index -> component id
         self.exceptional_var = exceptional_var
-        self.subst = subst          # old coordinates as polynomials in local ones
-        self.r = r                  # exceptional multiplicity removed on saturation
 
     @property
     def nvars(self):
@@ -119,45 +117,40 @@ def chart_substitution(nvars, d, center: CenterSpec, direction, translation=None
     return subst
 
 
+def pull_back(form: OneForm, subst, exceptional_var):
+    """Pull a plain form back through a substitution, without saturating.
+
+    Each plain coefficient is substituted once.  Returns (pulled form, order)
+    where order is the minimal vanishing order of the pulled coefficients
+    along the exceptional variable.
+    """
+    nvars, d = form.nvars, form.d
+    images = [c.substitute(subst) for c in form.plain_coefficients()]
+    pulled = []
+    for j in range(nvars):
+        cj = Polynomial.zero(nvars, d)
+        for i in range(nvars):
+            dij = subst[i].derivative(j)
+            if not dij.is_zero():
+                cj = cj + images[i] * dij
+        pulled.append(cj)
+    orders = [c.order([exceptional_var]) for c in pulled if not c.is_zero()]
+    return OneForm(pulled), min(orders, default=None)
+
+
 def transform_form(form: OneForm, subst, exceptional_var):
     """Pull back a plain form through a substitution and saturate.
 
     Returns (saturated form, r) where r is the power of the exceptional
     variable removed together with any other common factor.
     """
-    nvars, d = form.nvars, form.d
-    plain = form.plain_coefficients()
-    pulled = []
-    for j in range(nvars):
-        cj = Polynomial.zero(nvars, d)
-        for i in range(nvars):
-            dij = subst[i].derivative(j)
-            if dij.is_zero():
-                continue
-            cj = cj + plain[i].substitute(subst) * dij
-        pulled.append(cj)
-    sat, removed = saturate(OneForm(pulled))
+    pulled, _ = pull_back(form, subst, exceptional_var)
+    sat, removed = saturate(pulled)
     return sat, removed.degree_in(exceptional_var)
 
 
-def exceptional_order(form: OneForm, subst, exceptional_var) -> int:
-    """Order of the pulled-back (unsaturated) form along the exceptional."""
-    plain = form.plain_coefficients()
-    best = None
-    for j in range(form.nvars):
-        cj = Polynomial.zero(form.nvars, form.d)
-        for i in range(form.nvars):
-            dij = subst[i].derivative(j)
-            if not dij.is_zero():
-                cj = cj + plain[i].substitute(subst) * dij
-        if not cj.is_zero():
-            o = cj.order([exceptional_var])
-            best = o if best is None else min(best, o)
-    return best
-
-
-def detect_dicritical(form: OneForm, center: CenterSpec):
-    """Dual-route dicriticality decision.
+def _dicritical_report(form: OneForm, center: CenterSpec, orders):
+    """Dual-route dicriticality decision from the standard charts' orders.
 
     Route one is the contraction test on initial forms; route two checks that
     every chart transform is divisible by the (r+1)-st power of the
@@ -166,10 +159,6 @@ def detect_dicritical(form: OneForm, center: CenterSpec):
     r = center_multiplicity(form, center)
     by_contraction = contraction_test(form, center)
     vs = center.variables(form.nvars)
-    orders = []
-    for j in vs:
-        subst = chart_substitution(form.nvars, form.d, center, j)
-        orders.append(exceptional_order(form, subst, j))
     by_divisibility = all(o >= r + 1 for o in orders)
     if by_contraction != by_divisibility:
         raise AssertionError(
@@ -177,6 +166,32 @@ def detect_dicritical(form: OneForm, center: CenterSpec):
             f"divisibility={by_divisibility} (orders {orders}, r={r})")
     return {"dicritical": by_contraction, "multiplicity": r,
             "exceptional_orders": dict(zip([VARNAMES[j] for j in vs], orders))}
+
+
+def detect_dicritical(form: OneForm, center: CenterSpec):
+    """Dual-route dicriticality decision for one blow-up of the center."""
+    orders = [pull_back(form, chart_substitution(form.nvars, form.d, center, j), j)[1]
+              for j in center.variables(form.nvars)]
+    return _dicritical_report(form, center, orders)
+
+
+def blow_up_germ(form: OneForm, center: CenterSpec, translations=None):
+    """Blow up an origin-centered center of a germ, chart by chart.
+
+    The standard charts (mu = 0) come first, in the order of the center's
+    variables, then one chart per (direction, {var: mu}) translation.  Every
+    chart is pulled back once: the standard charts' exceptional orders decide
+    the divisibility route of the dicriticality check, and each pullback is
+    then saturated.  Returns (the detect_dicritical report,
+    [(direction, translation or None, saturated chart form)]).
+    """
+    vs = center.variables(form.nvars)
+    jobs = [(j, None) for j in vs] + list(translations or [])
+    pulled = [pull_back(form, chart_substitution(form.nvars, form.d, center, j,
+                                                 translation=mu), j)
+              for j, mu in jobs]
+    info = _dicritical_report(form, center, [order for _, order in pulled[:len(vs)]])
+    return info, [(j, mu, saturate(p)[0]) for (j, mu), (p, _) in zip(jobs, pulled)]
 
 
 def center_is_invariant(form: OneForm, center: CenterSpec) -> bool:
@@ -243,7 +258,7 @@ class BlowupAtlas:
             if not center_in_singular_locus(form, center):
                 raise CenterNotSingularAdapted(
                     f"center {center.describe()} is not inside the singular locus")
-        info = detect_dicritical(form, center)
+        info, charts = blow_up_germ(form, center, translations)
         comp_id = f"E{self._next_component}"
         self._next_component += 1
         comp = Component(comp_id, center.kind, invariant=not info["dicritical"], nvars=self.nvars)
@@ -256,13 +271,8 @@ class BlowupAtlas:
                 if old.self_intersection is not None:
                     old.self_intersection -= 1
         vs = center.variables(self.nvars)
-        jobs = [(j, None) for j in vs]
-        for direction, mu in (translations or []):
-            jobs.append((direction, mu))
         children = []
-        for j, mu in jobs:
-            subst = chart_substitution(self.nvars, self.d, center, j, translation=mu)
-            newform, r = transform_form(form, subst, j)
+        for j, mu, newform in charts:
             divisor = {j: comp_id}
             for v, cid in chart.divisor.items():
                 if v == j:
@@ -273,8 +283,7 @@ class BlowupAtlas:
             label = VARNAMES[j]
             if mu:
                 label += "@" + ",".join(f"{VARNAMES[v]}={m}" for v, m in sorted(mu.items()))
-            child = Chart(chart.path + (label,), newform, divisor,
-                          exceptional_var=j, subst=subst, r=r)
+            child = Chart(chart.path + (label,), newform, divisor, exceptional_var=j)
             self.charts[child.path] = child
             children.append(child)
         self.steps.append({"chart": chart.path, "center": center.describe(),
@@ -290,19 +299,3 @@ class BlowupAtlas:
             return None
         inv = [w for w in range(chart.nvars) if invariant_axis(chart.form, w)]
         return log_coefficient(chart.form, v, inv).constant_term()
-
-
-def run_script(form: OneForm, script, translations_key="translations"):
-    """Execute a blow-up script: a list of {chart, center, translations}."""
-    atlas = BlowupAtlas(form)
-    for step in script:
-        path = tuple(step.get("chart", ()))
-        c = step["center"]
-        if isinstance(c, CenterSpec):
-            center = c
-        elif "point" in c:
-            center = CenterSpec("point", point=c["point"])
-        else:
-            center = CenterSpec("curve", axis_vars=c["axis"])
-        atlas.blow_up(path, center, translations=step.get(translations_key))
-    return atlas

@@ -7,11 +7,10 @@ homogeneous plane foliations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import (DimensionError, LineNotInvariant, NotAUnit, NotDivisible,
-                     SaddleNodeUnsupported, ZeroEntry, ZeroForm)
+from .errors import DimensionError, LineNotInvariant, ZeroEntry, ZeroForm
 from .field import FieldElement, RatioClass, classify_ratio, nonresonant
 from .forms import OneForm, invariant_axis, saturate, singular_at_origin
 from .poly import Polynomial, VARNAMES
@@ -80,35 +79,6 @@ def normalized_coefficients(plain, inv, nvars, d):
                 q = q.exact_div(Polynomial.var(w, nvars, d))
         out.append(q)
     return out
-
-
-def flow_box_eliminate(form: OneForm, variable, divisor_vars=(), dicritical_vars=()):
-    """Remove a transverse variable by restriction to its zero slice.
-
-    A trivializing tangent vector field with direction d/dx_s exists whenever
-    some other coordinate carries a unit normalized coefficient; flowing along
-    it projects the germ onto {x_s = 0}, so the reduced germ is exactly the
-    restricted form.  No truncation is involved.  Raises NotAUnit when no
-    trivializing coefficient exists, NotDivisible when the variable is an
-    invariant axis (never eliminable).
-    """
-    s = variable
-    sat, _ = saturate(form)
-    plain = sat.plain_coefficients()
-    if invariant_axis(sat, s):
-        raise NotDivisible(VARNAMES[s])
-    inv = [v for v in range(form.nvars) if invariant_axis(sat, v)]
-    beta = normalized_coefficients(plain, inv, form.nvars, form.d)
-    ok = any(not beta[j].constant_term().is_zero() for j in range(form.nvars) if j != s)
-    if not ok:
-        raise NotAUnit(f"no trivializing unit coefficient to eliminate {VARNAMES[s]}")
-    zero = FieldElement(form.d, 0)
-    restricted = [plain[j].set_var(s, zero).drop_var(s)
-                  for j in range(form.nvars) if j != s]
-    out = OneForm(restricted)
-    if out.is_zero():
-        raise ZeroForm("restriction vanished identically; slice was not transverse")
-    return saturate(out)[0]
 
 
 def classify_point(form: OneForm, divisor_vars=(), dicritical_vars=()):
@@ -262,31 +232,6 @@ def camacho_sad_index(residues, branch):
     if residues[branch].is_zero():
         raise ZeroEntry("branch residue vanishes; index undefined")
     return -residues[u] / residues[branch]
-
-
-def restricted_multiplicity(form: OneForm, point_y):
-    """Multiplicity along the invariant line {x = 0} at (0, point_y).
-
-    With form = a dx + x b dy this is the vanishing order of a(0, y) at the
-    point; raises LineNotInvariant when {x = 0} is not invariant.
-    """
-    if form.nvars != 2:
-        raise DimensionError("restricted multiplicity lives on a plane line")
-    sat, _ = saturate(form)
-    if not invariant_axis(sat, 0):
-        raise LineNotInvariant("the line {x = 0} is not invariant")
-    a = sat.plain_coefficients()[0]
-    zero = FieldElement(form.d, 0)
-    ay = a.set_var(0, zero)
-    if ay.is_zero():
-        raise ZeroForm("restriction of the dx coefficient vanishes identically")
-    coeffs = ay.univariate_coefficients(1)
-    # vanishing order at point_y: shift and count zero leading coefficients
-    shifted = ay.shift([zero, point_y]).univariate_coefficients(1)
-    mu = 0
-    while mu < len(shifted) and shifted[mu].is_zero():
-        mu += 1
-    return mu
 
 
 # ---------------------------------------------------------------------------

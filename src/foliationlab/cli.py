@@ -11,7 +11,6 @@ import cmath
 import enum
 import hashlib
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -22,7 +21,7 @@ from .blowup import BlowupAtlas, CenterSpec, detect_dicritical
 from .classify import (classify_point, degree_identity_check, monomial_probe,
                        multiplicity, restrict_to_exceptional)
 from .divisorgraph import DivisorGraph, from_atlas
-from .errors import FoliationLabError, ScenarioError
+from .errors import FoliationLabError, InvalidGraph, ScenarioError
 from .field import FieldElement
 from .forms import OneForm
 from .poly import parse_element
@@ -83,19 +82,45 @@ def parse_form(scenario):
 
 
 def parse_center(record, nvars, d):
+    """A center record: {"kind": "point", "coords": [...]} (the origin when
+    coords is absent) or {"kind": "curve", "axis": [a, b]}."""
+    if not isinstance(record, dict):
+        raise ScenarioError(f"center must be an object, not {record!r}")
     kind = record.get("kind", "point")
     if kind == "point":
         coords = record.get("coords")
         if coords is None:
             return CenterSpec.origin(nvars, d)
+        if not isinstance(coords, list) or len(coords) != nvars:
+            raise ScenarioError(f"point center needs {nvars} 'coords', not {coords!r}")
         return CenterSpec("point", point=[parse_element(c, d) for c in coords])
-    return CenterSpec.axis(*record["axis"])
+    if kind != "curve":
+        raise ScenarioError(f"unknown center kind {kind!r}; expected 'point' or 'curve'")
+    axis = record.get("axis")
+    if not (isinstance(axis, list) and len(axis) == 2 and axis[0] != axis[1]
+            and all(isinstance(v, int) and 0 <= v < nvars for v in axis)):
+        raise ScenarioError(f"curve center needs an 'axis' of two distinct variable "
+                            f"indices below {nvars}, not {axis!r}")
+    return CenterSpec.axis(*axis)
 
 
 def run_script(scenario, form):
+    """Blow up each step's center in the chart at its path (default: root).
+
+    A step is {"path": [chart labels], "center": center record}.
+    """
     atlas = BlowupAtlas(form)
-    for step in scenario.get("script", []):
-        center = parse_center(step.get("center", {}), form.nvars, form.d)
+    for i, step in enumerate(scenario.get("script", [])):
+        if not isinstance(step, dict):
+            raise ScenarioError(f"script[{i}]: a step must be an object, not {step!r}")
+        unknown = sorted(set(step) - {"path", "center"})
+        if unknown:
+            raise ScenarioError(f"script[{i}]: unknown keys {unknown}; "
+                                "a step has only 'path' and 'center'")
+        try:
+            center = parse_center(step.get("center", {}), form.nvars, form.d)
+        except ScenarioError as e:
+            raise ScenarioError(f"script[{i}]: {e}") from None
         atlas.blow_up(tuple(step.get("path", [])), center)
     return atlas
 
@@ -193,7 +218,8 @@ def analysis_graph(scenario, form):
             if graph.flags.get("no_invariant_surface") and not prop6["all_ok"]:
                 violations.extend(prop6["certificates"])
     # round-trip invariant: the emitted graph must re-ingest equal
-    assert DivisorGraph.from_json(graph.to_json()) == graph
+    if DivisorGraph.from_json(graph.to_json()) != graph:
+        raise InvalidGraph(["the emitted graph does not re-ingest equal to itself"])
     return rep, graph, violations
 
 
@@ -347,6 +373,22 @@ def _dig(report, dotted):
     return cur
 
 
+def expectation_met(scenario, report, code):
+    """Does a run match the scenario's "expect" block: the exit code and every
+    dotted path under "contains"?"""
+    expect = scenario.get("expect", {})
+    ok = expect.get("exit_code", 0) == code
+    jrep = _jsonable(report)
+    for dotted, want in expect.get("contains", {}).items():
+        try:
+            got = _dig(jrep, dotted)
+        except (KeyError, IndexError, TypeError):
+            got = None
+        if got != want:
+            ok = False
+    return ok
+
+
 def run_corpus(filter_text=None, out=None):
     rows = []
     all_ok = True
@@ -358,16 +400,7 @@ def run_corpus(filter_text=None, out=None):
             report, code, _ = run_scenario(scenario)
         except FoliationLabError as e:
             report, code = {"error": str(e)}, 1
-        expect = scenario.get("expect", {})
-        ok = expect.get("exit_code", 0) == code
-        jrep = _jsonable(report)
-        for dotted, want in expect.get("contains", {}).items():
-            try:
-                got = _dig(jrep, dotted)
-            except (KeyError, IndexError, TypeError):
-                got = None
-            if got != want:
-                ok = False
+        ok = expectation_met(scenario, report, code)
         rows.append({"scenario": name, "exit_code": code, "matched": ok})
         all_ok = all_ok and ok
     summary = {"tool_version": __version__, "scenarios": rows,
@@ -396,7 +429,6 @@ def build_parser():
         sp.add_argument("--out", default=None)
         sp.add_argument("--dot", action="store_true")
         sp.add_argument("--csv", action="store_true")
-        sp.add_argument("--truncation", type=int, default=None)
         sp.add_argument("--max-depth", type=int, default=None)
         sp.set_defaults(force_analyses=force)
     cp = sub.add_parser("corpus")
@@ -422,8 +454,6 @@ def main(argv=None):
         scenario = _load_scenario(args.scenario)
         if args.max_depth is not None:
             scenario["max_depth"] = args.max_depth
-        if args.truncation is not None:
-            scenario["truncation"] = args.truncation
         report, code, artifacts = run_scenario(scenario, args.force_analyses)
         text = render_report(report)
         sys.stdout.write(text)

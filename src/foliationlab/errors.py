@@ -27,10 +27,6 @@ class NotDivisible(FoliationLabError):
         super().__init__(f"coefficient not divisible by variable {variable!r}")
 
 
-class NotAUnit(FoliationLabError):
-    pass
-
-
 class DimensionError(FoliationLabError):
     pass
 
@@ -49,14 +45,6 @@ class CenterNotSingularAdapted(FoliationLabError):
 
 class ScriptChartMissing(FoliationLabError):
     pass
-
-
-class OffFieldPoint(FoliationLabError):
-    """A requested point does not have coordinates in the working field."""
-
-    def __init__(self, minimal_polynomial):
-        self.minimal_polynomial = minimal_polynomial
-        super().__init__(f"point not in the field; minimal polynomial {minimal_polynomial}")
 
 
 class NonRationalSingularPoint(FoliationLabError):

@@ -10,16 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
 
-from .classify import (PointClassification, PointKind, SaddleNodal,
-                       classify_saddle_nodal, camacho_sad_index,
-                       linear_part_matrix, normalized_coefficients)
+from .blowup import CenterSpec, blow_up_germ
+from .classify import (PointKind, SaddleNodal, classify_saddle_nodal,
+                       camacho_sad_index, linear_part_matrix)
 from .errors import (DepthExceeded, DimensionError, IncompleteTree,
                      NonRationalEigenvalues, NonRationalSingularPoint,
                      SaddleNodeUnsupported, ZeroForm)
 from .field import (FieldElement, RatioClass, classify_ratio, field_sqrt,
                     nonresonant)
 from .forms import OneForm, invariant_axis, saturate, singular_at_origin
-from .poly import Polynomial, poly_gcd
+from .poly import VARNAMES, poly_gcd
 from .solve import univariate_roots
 
 
@@ -103,9 +103,6 @@ class ReductionTree:
                 continue
             names[p] = "n" + "_".join(s.replace("@", "_").replace(":", "_").replace("=", "_")
                                       .replace("-", "m").replace("/", "_") for s in p)
-        for l in self.leaves:
-            for k in range(1, len(l.path) + 1):
-                pass
         drawn = set()
         for l in self.leaves:
             for k in range(1, len(l.path) + 1):
@@ -158,11 +155,6 @@ def leaf_residues(form: OneForm):
     return e2, -e1, False
 
 
-def _restrict_to_line(p: Polynomial, var, other):
-    zero = FieldElement(p.d, 0)
-    return p.set_var(var, zero)
-
-
 def singular_points_on_exceptional(form: OneForm, exc_var):
     """Roots t with (0, t) (exc_var = first coord) singular for the form.
 
@@ -187,27 +179,27 @@ def singular_points_on_exceptional(form: OneForm, exc_var):
     return univariate_roots(coeffs)
 
 
-_CHARTS_2D = (
-    # (label, direction var): chart x: (x, y) = (x', x' y'); chart y: (x, y) = (x' y', y')
-    ("x", 0),
-    ("y", 1),
-)
+def exceptional_points(form: OneForm):
+    """Blow up a plane germ at the origin; list the singular exceptional points.
 
-
-def blow_up_plane(form: OneForm):
-    """One point blow-up of a plane germ at the origin.
-
-    Returns (dicritical, [(label, transformed form, exc_var, r)]).
+    Returns (dicritical, points).  points holds (exc, t, germ): first the
+    singular points (0, t) of chart x (exc = 0) in the order univariate_roots
+    finds them, then the origin of chart y (exc = 1, t = 0) when it is
+    singular.  Each germ is moved to the origin and saturated.
     """
-    from .blowup import CenterSpec, chart_substitution, detect_dicritical, transform_form
-    center = CenterSpec.origin(2, form.d)
-    info = detect_dicritical(form, center)
-    charts = []
-    for label, j in _CHARTS_2D:
-        subst = chart_substitution(2, form.d, center, j)
-        newform, r = transform_form(form, subst, j)
-        charts.append((label, newform, j, r))
-    return info["dicritical"], charts
+    info, charts = blow_up_germ(form, CenterSpec.origin(2, form.d))
+    (_, _, chart_x), (_, _, chart_y) = charts
+    zero = FieldElement(form.d, 0)
+    roots, leftover = singular_points_on_exceptional(chart_x, 0)
+    if leftover:
+        raise NonRationalSingularPoint(leftover)
+    points = [(0, t, saturate(OneForm([c.shift([zero, t])
+                                       for c in chart_x.plain_coefficients()]))[0])
+              for t, _mult in roots]
+    # the second chart only contributes its origin (vertical direction)
+    if singular_at_origin(chart_y):
+        points.append((1, zero, chart_y))
+    return info["dicritical"], points
 
 
 def reduce(form: OneForm, max_depth: int = 24) -> ReductionTree:
@@ -268,35 +260,20 @@ def _reduce_node(form, axes, path, tree, counter, max_depth):
     counter[0] += 1
     tree.blowups += 1
     comp_id = f"E{tree.blowups}"
-    dicritical, charts = blow_up_plane(form)
+    dicritical, points = exceptional_points(form)
     for cid in set(axes.values()):
         tree.components[cid]["self_intersection"] -= 1
     tree.components[comp_id] = {"self_intersection": -1, "invariant": not dicritical}
     tree.steps.append({"path": path, "component": comp_id, "dicritical": dicritical})
-    for label, newform, exc, _r in charts:
+    # chart x points by parameter, then the chart y origin: this visiting
+    # order fixes the leaf order and the component ids
+    for exc, t, germ in sorted(points, key=lambda p: (p[0], str(p[1]))):
         other = 1 - exc
-        if label == "x":
-            roots, leftover = singular_points_on_exceptional(newform, exc)
-            if leftover:
-                raise NonRationalSingularPoint(leftover)
-            for t, _mult in sorted(roots, key=lambda rm: str(rm[0])):
-                shifted = [c.shift([FieldElement(form.d, 0), t] if exc == 0
-                                   else [t, FieldElement(form.d, 0)])
-                           for c in newform.plain_coefficients()]
-                child = saturate(OneForm(shifted))[0]
-                child_axes = {exc: comp_id}
-                if t.is_zero() and other in axes:
-                    child_axes[other] = axes[other]
-                _reduce_node(child, child_axes, path + (f"{label}:{t}",),
-                             tree, counter, max_depth)
-        else:
-            # the second chart only contributes its origin (vertical direction)
-            if singular_at_origin(newform):
-                child_axes = {exc: comp_id}
-                if other in axes:
-                    child_axes[other] = axes[other]
-                _reduce_node(newform, child_axes, path + (f"{label}:0",),
-                             tree, counter, max_depth)
+        child_axes = {exc: comp_id}
+        if t.is_zero() and other in axes:
+            child_axes[other] = axes[other]
+        _reduce_node(germ, child_axes, path + (f"{VARNAMES[exc]}:{t}",),
+                     tree, counter, max_depth)
 
 
 def first_blowup_index_sum(form: OneForm):
@@ -306,35 +283,23 @@ def first_blowup_index_sum(form: OneForm):
     a non-dicritical blow-up.
     """
     sat, _ = saturate(form)
-    dicritical, charts = blow_up_plane(sat)
+    dicritical, points = exceptional_points(sat)
     total = FieldElement(form.d, 0)
-    points = []
-    for label, newform, exc, _r in charts:
-        jobs = []
-        if label == "x":
-            roots, leftover = singular_points_on_exceptional(newform, exc)
-            if leftover:
-                raise NonRationalSingularPoint(leftover)
-            for t, _m in roots:
-                shifted = [c.shift([FieldElement(form.d, 0), t])
-                           for c in newform.plain_coefficients()]
-                jobs.append((t, saturate(OneForm(shifted))[0]))
-        else:
-            if singular_at_origin(newform):
-                jobs.append((None, newform))
-        for t, germ in jobs:
-            terminal, data = _terminal_kind(germ, {exc: "E1"})
-            if not terminal:
-                raise SaddleNodeUnsupported("non-terminal point after one blow-up")
-            kind, res, _sn, _notes = data
-            if kind is PointKind.SADDLE_NODE:
-                raise SaddleNodeUnsupported("saddle-node after one blow-up")
-            if res is None:
-                continue
-            idx = camacho_sad_index(res, exc)
-            total = total + idx
-            points.append({"chart": label, "point": t, "index": idx})
-    return {"dicritical": dicritical, "sum": total, "points": points}
+    out = []
+    for exc, t, germ in points:
+        terminal, data = _terminal_kind(germ, {exc: "E1"})
+        if not terminal:
+            raise SaddleNodeUnsupported("non-terminal point after one blow-up")
+        kind, res, _sn, _notes = data
+        if kind is PointKind.SADDLE_NODE:
+            raise SaddleNodeUnsupported("saddle-node after one blow-up")
+        if res is None:
+            continue
+        idx = camacho_sad_index(res, exc)
+        total = total + idx
+        out.append({"chart": VARNAMES[exc], "point": t if exc == 0 else None,
+                    "index": idx})
+    return {"dicritical": dicritical, "sum": total, "points": out}
 
 
 def verdict_generalized_curve(tree: ReductionTree):

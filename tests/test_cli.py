@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import json
-import os
+import re
+from pathlib import Path
 
 import pytest
 
-from foliationlab.cli import (corpus_files, main, render_report, run_corpus,
-                              run_scenario, scenario_hash)
+from foliationlab.cli import (corpus_files, expectation_met, main, render_report,
+                              run_corpus, run_scenario, scenario_hash)
+from foliationlab.divisorgraph import DivisorGraph
 
 
 def load(name):
@@ -92,3 +94,51 @@ def test_unknown_analysis_is_an_error(tmp_path):
     with pytest.raises(ScenarioError):
         run_scenario({"name": "x", "form": {"coefficients": ["x", "y"]},
                       "analyses": ["nope"]})
+
+
+BAD_SCRIPTS = {
+    "step_not_an_object": (["x"], "script[0]"),
+    "center_not_an_object": ([{"center": "origin"}], "script[0]"),
+    "readme_chart_key": ([{"path": [], "center": {"kind": "point"}},
+                          {"center": {"kind": "point"}, "chart": "x"}], "script[1]"),
+    "unknown_center_kind": ([{"center": {"kind": "origin"}}], "script[0]"),
+    "axis_center_without_axis": ([{"center": {"kind": "curve"}}], "script[0]"),
+    "point_center_short_coords": ([{"center": {"kind": "point", "coords": ["1", "0"]}}],
+                                  "script[0]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SCRIPTS))
+def test_script_schema_rejects_what_it_cannot_run(case, tmp_path, capsys):
+    script, where = BAD_SCRIPTS[case]
+    scenario = load("log_corner_3d.json")
+    scenario["script"] = script
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(scenario))
+    assert main(["graph", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
+def test_graph_round_trip_mismatch_is_an_error(tmp_path, capsys, monkeypatch):
+    ingest = DivisorGraph.from_json.__func__
+
+    def lossy(cls, text):
+        graph = ingest(cls, text)
+        graph.components.popitem()
+        return graph
+
+    monkeypatch.setattr(DivisorGraph, "from_json", classmethod(lossy))
+    src = tmp_path / "corner.json"
+    src.write_text(json.dumps(load("log_corner_3d.json")))
+    assert main(["graph", str(src)]) == 1
+    assert "re-ingest" in capsys.readouterr().err
+
+
+def test_readme_scenario_sketch_runs_and_meets_its_expectations():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Scenario format", 1)[1]
+    scenario = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert scenario["expect"]["contains"]
+    report, code, _ = run_scenario(scenario)
+    assert expectation_met(scenario, report, code)

@@ -1,0 +1,122 @@
+"""The one pullback per chart against a naive per-term reference."""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from foliationlab.blowup import (BlowupAtlas, CenterSpec, chart_substitution,
+                                 detect_dicritical, pull_back)
+from foliationlab.field import FieldElement
+from foliationlab.forms import OneForm, saturate
+from foliationlab.poly import VARNAMES, Polynomial, parse_polynomial
+
+
+def naive_pull_back(form, subst):
+    """Pull back term by term: c x^e dx_i -> c prod subst_k^e_k d(subst_i)."""
+    nvars, d = form.nvars, form.d
+    out = [Polynomial.zero(nvars, d) for _ in range(nvars)]
+    for i, coefficient in enumerate(form.plain_coefficients()):
+        for exps, c in coefficient.terms.items():
+            image = Polynomial.const(c, nvars, d)
+            for k, e in enumerate(exps):
+                for _ in range(e):
+                    image = image * subst[k]
+            for j in range(nvars):
+                out[j] = out[j] + image * subst[i].derivative(j)
+    return out
+
+
+def random_form(rng, nvars, d, log=False):
+    """A nonzero form with small exponents, singular at the origin when plain.
+
+    With log=True every coefficient gains a nonzero constant and carries a
+    pole: every coordinate hyperplane is invariant, so every coordinate axis
+    is an adapted center.
+    """
+    units = ["1", "i"] + ([f"sqrt({d})"] if d else [])
+    texts = []
+    for _ in range(nvars):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            exps = [rng.randint(0, 2) for _ in range(nvars)]
+            if not any(exps):
+                exps[rng.randrange(nvars)] = 1
+            mono = "*".join(f"{VARNAMES[v]}^{e}" for v, e in enumerate(exps) if e)
+            terms.append(f"({rng.randint(-5, 5)}/{rng.randint(1, 3)})*{rng.choice(units)}*{mono}")
+        if log:
+            terms.append(str(rng.choice((-3, -2, -1, 1, 2, 3))))
+        texts.append(" + ".join(terms))
+    return OneForm([parse_polynomial(t, nvars, d) for t in texts],
+                   log=[log] * nvars)
+
+
+CUSP = OneForm.parse(["-3*x^2", "2*y"], nvars=2, d=0)
+JOUANOLOU = OneForm.parse(["y^2 - z*x", "z^2 - x*y", "x^2 - y*z"], nvars=3, d=0)
+LOG_CORNER = OneForm.parse(["2", "3", "-4*sqrt(2)"], nvars=3, d=2, log=[True] * 3)
+
+
+def forms(fixed, nvars, seed, log):
+    rng = random.Random(seed)
+    return fixed + [random_form(rng, nvars, rng.choice((0, 2)), log) for _ in range(6)]
+
+
+# (case, forms, center); the axis center needs forms it is adapted to, or the
+# two dicriticality routes need not agree
+CASES = [
+    ("point_2d", forms([CUSP], 2, 1, log=False), lambda d: CenterSpec.origin(2, d)),
+    ("point_2d_log", forms([], 2, 2, log=True), lambda d: CenterSpec.origin(2, d)),
+    ("point_3d", forms([JOUANOLOU], 3, 3, log=False), lambda d: CenterSpec.origin(3, d)),
+    ("axis_xz", forms([LOG_CORNER], 3, 4, log=True), lambda d: CenterSpec.axis(0, 2)),
+]
+
+
+@pytest.mark.parametrize("name,cases,make_center", CASES, ids=[c[0] for c in CASES])
+def test_standard_charts_match_reference(name, cases, make_center):
+    for form in cases:
+        nvars = form.nvars
+        center = make_center(form.d)
+        orders = {}
+        for j in center.variables(nvars):
+            subst = chart_substitution(nvars, form.d, center, j)
+            reference = naive_pull_back(form, subst)
+            pulled, order = pull_back(form, subst, j)
+            assert pulled.plain_coefficients() == reference
+            orders[VARNAMES[j]] = min(c.order([j]) for c in reference if not c.is_zero())
+            assert order == orders[VARNAMES[j]]
+        assert detect_dicritical(form, center)["exceptional_orders"] == orders
+
+
+def test_translated_chart_matches_reference():
+    for form in forms([CUSP], 2, 5, log=False):
+        one = FieldElement(form.d, 1)
+        center = CenterSpec.origin(2, form.d)
+        subst = chart_substitution(2, form.d, center, 0, translation={1: one})
+        assert pull_back(form, subst, 0)[0].plain_coefficients() == naive_pull_back(form, subst)
+        atlas = BlowupAtlas(form)
+        rep = atlas.blow_up((), center, translations=[(0, {1: one})], check_adapted=False)
+        # the dicriticality report reads the standard charts only
+        assert {k: rep[k] for k in ("dicritical", "multiplicity", "exceptional_orders")} \
+            == detect_dicritical(atlas.root.form, center)
+        children = rep["children"]
+        assert [c.path for c in children] == [("x",), ("y",), ("x@y=1",)]
+        reference = naive_pull_back(atlas.root.form, subst)
+        assert children[2].form == saturate(OneForm(reference))[0]
+
+
+def test_each_coefficient_is_substituted_once(monkeypatch):
+    calls = []
+    original = Polynomial.substitute
+
+    def counting(self, images):
+        calls.append(self)
+        return original(self, images)
+
+    monkeypatch.setattr(Polynomial, "substitute", counting)
+    for form in (CUSP, JOUANOLOU):
+        nvars = form.nvars
+        center = CenterSpec.origin(nvars, form.d)
+        calls.clear()
+        for j in range(nvars):
+            pull_back(form, chart_substitution(nvars, form.d, center, j), j)
+        assert len(calls) == nvars * nvars
