@@ -7,7 +7,7 @@ an axis blow-up {x_a = x_b = 0} only mixes the two center variables.
 from __future__ import annotations
 
 from .errors import (CenterNotInvariant, CenterNotSingularAdapted,
-                     DimensionError, ScriptChartMissing)
+                     DicriticalRoutesDisagree, DimensionError, ScriptChartMissing)
 from .field import FieldElement
 from .forms import OneForm, invariant_axis, log_coefficient, saturate, singular_at_origin
 from .poly import Polynomial, VARNAMES
@@ -154,14 +154,24 @@ def _dicritical_report(form: OneForm, center: CenterSpec, orders):
 
     Route one is the contraction test on initial forms; route two checks that
     every chart transform is divisible by the (r+1)-st power of the
-    exceptional variable.  The two must agree; disagreement is a bug.
+    exceptional variable.  The contraction test reads only the center's own
+    coefficients, so the routes are equivalent only when every coefficient
+    outside the center vanishes along it to an order above r; a center
+    without that property raises CenterNotSingularAdapted.  Disagreement on
+    an adapted center is a bug.
     """
     r = center_multiplicity(form, center)
-    by_contraction = contraction_test(form, center)
     vs = center.variables(form.nvars)
+    plain = form.plain_coefficients()
+    outside = [k for k in range(form.nvars) if k not in vs and not plain[k].is_zero()]
+    if any(plain[k].order(vs) == r for k in outside):
+        raise CenterNotSingularAdapted(
+            f"center {center.describe()} is not adapted to the form: a coefficient "
+            f"outside it vanishes along it only to the multiplicity {r}")
+    by_contraction = contraction_test(form, center)
     by_divisibility = all(o >= r + 1 for o in orders)
     if by_contraction != by_divisibility:
-        raise AssertionError(
+        raise DicriticalRoutesDisagree(
             f"dicriticality routes disagree: contraction={by_contraction}, "
             f"divisibility={by_divisibility} (orders {orders}, r={r})")
     return {"dicritical": by_contraction, "multiplicity": r,

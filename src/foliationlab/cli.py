@@ -21,7 +21,7 @@ from .blowup import BlowupAtlas, CenterSpec, detect_dicritical
 from .classify import (classify_point, degree_identity_check, monomial_probe,
                        multiplicity, restrict_to_exceptional)
 from .divisorgraph import DivisorGraph, from_atlas
-from .errors import FoliationLabError, InvalidGraph, ScenarioError
+from .errors import BadParameters, FoliationLabError, InvalidGraph, ScenarioError
 from .field import FieldElement
 from .forms import OneForm
 from .poly import parse_element
@@ -223,91 +223,161 @@ def analysis_graph(scenario, form):
     return rep, graph, violations
 
 
+_REQUIRED = object()
+
+
+def _field(rec, key, kinds=None, default=_REQUIRED):
+    """rec[key], or default when it is absent; with kinds, a value of one of
+    those types (a bool is not a number)."""
+    if not isinstance(rec, dict):
+        raise ScenarioError(f"expected an object, not {rec!r}")
+    if key not in rec:
+        if default is _REQUIRED:
+            raise ScenarioError(f"missing {key!r}")
+        return default
+    v = rec[key]
+    if kinds is not None and (isinstance(v, bool) or not isinstance(v, kinds)):
+        raise ScenarioError(f"{key!r} must be {' or '.join(k.__name__ for k in kinds)}, "
+                            f"not {v!r}")
+    return v
+
+
+def _is_real(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _complex(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    return complex(v[0], v[1])
+    """A complex number written as a real or as [re, im]."""
+    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0]
+    if not all(_is_real(c) for c in parts):
+        raise ScenarioError(f"expected a number or [re, im], not {v!r}")
+    return complex(*parts)
 
 
-def _build_path(rec):
+def _index(rec, key, tau):
+    v = _field(rec, key, (int,))
+    if not 0 <= v < tau:
+        raise ScenarioError(f"{key!r} must be a coordinate index below {tau}, not {v}")
+    return v
+
+
+def _build_path(rec, tau):
+    """(moving coordinate index, base path) of a path record."""
+    index = _index(rec, "index", tau)
     kind = rec.get("kind", "circle")
     if kind == "circle":
-        return circle_path(_complex(rec["alpha"]), rec.get("turns", 1))
-    if kind == "spiral":
-        return spiral_path(_complex(rec["start"]), _complex(rec["end"]),
-                           rec.get("turns", 0))
-    if kind == "constant":
-        return constant_path(_complex(rec["value"]))
-    raise ScenarioError(f"unknown path kind {kind!r}")
+        path = circle_path(_complex(_field(rec, "alpha")),
+                           _field(rec, "turns", (int, float), 1))
+    elif kind == "spiral":
+        path = spiral_path(_complex(_field(rec, "start")), _complex(_field(rec, "end")),
+                           _field(rec, "turns", (int, float), 0))
+    elif kind == "constant":
+        path = constant_path(_complex(_field(rec, "value")))
+    else:
+        raise ScenarioError(f"unknown path kind {kind!r}")
+    return index, path
 
 
 def _build_model(rec):
+    if not isinstance(rec, dict) or not ("lam" in rec or "weights" in rec):
+        raise ScenarioError(f"a model needs 'lam' or 'weights', not {rec!r}")
+    delta = _field(rec, "delta", (int, float), 1.0)
     if "weights" in rec:
-        return LinearModel.nodal(rec["weights"], rec["split"],
-                                 delta=rec.get("delta", 1.0))
-    return LinearModel([_complex(l) for l in rec["lam"]],
-                       delta=rec.get("delta", 1.0))
+        weights = _field(rec, "weights", (list,))
+        if not all(_is_real(r) for r in weights):
+            raise ScenarioError(f"'weights' must be numbers, not {weights!r}")
+        return LinearModel.nodal(weights, _field(rec, "split", (int,)), delta=delta)
+    return LinearModel([_complex(l) for l in _field(rec, "lam", (list,))], delta=delta)
+
+
+def _lift_args(blk):
+    """(model, paths, fiber, start) of a lift or drift block."""
+    model = _build_model(_field(blk, "model"))
+    recs = _field(blk, "paths", (list,))
+    paths = dict(_build_path(rec, model.tau) for rec in recs)
+    if len(paths) != len(recs):
+        raise ScenarioError("two paths move the same coordinate")
+    fiber = _index(blk, "fiber", model.tau)
+    if fiber in paths:
+        raise ScenarioError(f"fiber {fiber} is also the index of a moving path")
+    return model, paths, fiber, _complex(_field(blk, "start"))
 
 
 def _grid(rec):
-    nx, ny = rec.get("nx", 20), rec.get("ny", 20)
+    nx, ny = _field(rec, "nx", (int,), 20), _field(rec, "ny", (int,), 20)
+    if nx < 2 or ny < 2:
+        raise ScenarioError(f"a grid needs at least 2 points a side, not {nx}x{ny}")
+    x_min, x_max, y_min, y_max = (_field(rec, k, (int, float))
+                                  for k in ("x_min", "x_max", "y_min", "y_max"))
+    x_phase = _field(rec, "x_phase", (int, float), 0.0)
+    y_phase = _field(rec, "y_phase", (int, float), 0.0)
     out = []
     for i in range(nx):
         for j in range(ny):
-            x = (rec["x_min"] + (rec["x_max"] - rec["x_min"]) * (i / (nx - 1))) \
-                * cmath.exp(1j * rec.get("x_phase", 0.0) * i)
-            y = (rec["y_min"] + (rec["y_max"] - rec["y_min"]) * (j / (ny - 1))) \
-                * cmath.exp(1j * rec.get("y_phase", 0.0) * j)
+            x = (x_min + (x_max - x_min) * (i / (nx - 1))) * cmath.exp(1j * x_phase * i)
+            y = (y_min + (y_max - y_min) * (j / (ny - 1))) * cmath.exp(1j * y_phase * j)
             out.append((x, y))
     return out
 
 
+def _holonomy_block(blk, config):
+    """(report record, sweep CSV text or None) of one holonomy block."""
+    kind = _field(blk, "kind", (str,))
+    if kind == "multiplier":
+        m = loop_multiplier(_complex(_field(blk, "lam")),
+                            _field(blk, "turns", (int, float), 1))
+        return {"kind": kind, "value": m, "modulus": abs(m)}, None
+    if kind == "lift":
+        end = lift_path(*_lift_args(blk), config)
+        rec = {"kind": kind, "end": end, "modulus": abs(end)}
+        if "closed_form" in blk:
+            rec["closed_form_error"] = abs(end - _complex(blk["closed_form"]))
+        return rec, None
+    if kind == "drift":
+        return {"kind": kind,
+                "max_drift": nodal_first_integral_drift(*_lift_args(blk), config)}, None
+    if kind == "lemma4":
+        lam, rho, eps = (_field(blk, k, (int, float)) for k in ("lam", "rho", "eps"))
+        rec = {"kind": kind, "constant": lemma4_constant(lam, rho, eps)}
+        if blk.get("reach_check"):
+            trials = _field(blk, "trials", (int,), 100)
+            if trials < 1:
+                raise ScenarioError(f"'trials' must be positive, not {trials}")
+            rec["reach"] = lemma4_reach_check(lam, rho, eps, trials=trials, config=config)
+        return rec, None
+    if kind == "probe":
+        model = _build_model(_field(blk, "model"))
+        res = saturation_probe(model, _field(blk, "alpha", (int, float)),
+                               _field(blk, "eps", (int, float)),
+                               _grid(_field(blk, "grid")), config)
+        return ({"kind": kind, "fraction": res["fraction"],
+                 "unreached_count": len(res["unreached"])}, sweep_csv(res["records"]))
+    raise ScenarioError(f"unknown holonomy block {kind!r}")
+
+
 def analysis_holonomy(scenario):
-    blocks = scenario.get("holonomy", {}).get("blocks", [])
-    cfg_rec = scenario.get("holonomy", {}).get("config", {})
-    config = NumericConfig(step=cfg_rec.get("step", 5e-3),
-                           tol=cfg_rec.get("tol", 1e-9),
-                           max_length=cfg_rec.get("max_length", 2000.0))
+    spec = scenario.get("holonomy", {})
+    try:
+        blocks = _field(spec, "blocks", (list,), [])
+        cfg_rec = _field(spec, "config", (dict,), {})
+        config = NumericConfig(step=_field(cfg_rec, "step", (int, float), 5e-3),
+                               tol=_field(cfg_rec, "tol", (int, float), 1e-9),
+                               max_length=_field(cfg_rec, "max_length", (int, float), 2000.0))
+    except (ScenarioError, BadParameters) as e:
+        raise ScenarioError(f"holonomy: {e}") from None
     results = []
     csv_blobs = []
-    for blk in blocks:
-        kind = blk["kind"]
-        if kind == "multiplier":
-            m = loop_multiplier(_complex(blk["lam"]), blk.get("turns", 1))
-            results.append({"kind": kind, "value": m, "modulus": abs(m)})
-        elif kind == "lift":
-            model = _build_model(blk["model"])
-            paths = {int(p["index"]): _build_path(p) for p in blk["paths"]}
-            end = lift_path(model, paths, blk["fiber"],
-                            _complex(blk["start"]), config)
-            rec = {"kind": kind, "end": end, "modulus": abs(end)}
-            if "closed_form" in blk:
-                rec["closed_form_error"] = abs(end - _complex(blk["closed_form"]))
-            results.append(rec)
-        elif kind == "drift":
-            model = _build_model(blk["model"])
-            paths = {int(p["index"]): _build_path(p) for p in blk["paths"]}
-            drift = nodal_first_integral_drift(model, paths, blk["fiber"],
-                                               _complex(blk["start"]), config)
-            results.append({"kind": kind, "max_drift": drift})
-        elif kind == "lemma4":
-            c = lemma4_constant(blk["lam"], blk["rho"], blk["eps"])
-            rec = {"kind": kind, "constant": c}
-            if blk.get("reach_check"):
-                rec["reach"] = lemma4_reach_check(
-                    blk["lam"], blk["rho"], blk["eps"],
-                    trials=blk.get("trials", 100), config=config)
-            results.append(rec)
-        elif kind == "probe":
-            model = _build_model(blk["model"])
-            res = saturation_probe(model, blk["alpha"], blk["eps"],
-                                   _grid(blk["grid"]), config)
-            results.append({"kind": kind, "fraction": res["fraction"],
-                            "unreached_count": len(res["unreached"])})
-            csv_blobs.append((blk.get("name", f"probe{len(csv_blobs)}"),
-                              sweep_csv(res["records"])))
-        else:
-            raise ScenarioError(f"unknown holonomy block {kind!r}")
+    for i, blk in enumerate(blocks):
+        try:
+            name = _field(blk, "name", (str,), f"probe{len(csv_blobs)}")
+            if name in ("", ".", "..") or os.path.basename(name) != name:
+                raise ScenarioError(f"a block name must be a plain file name, not {name!r}")
+            rec, csv = _holonomy_block(blk, config)
+        except FoliationLabError as e:
+            raise ScenarioError(f"holonomy.blocks[{i}]: {e}") from e
+        results.append(rec)
+        if csv is not None:
+            csv_blobs.append((name, csv))
     return {"blocks": results}, csv_blobs
 
 

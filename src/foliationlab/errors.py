@@ -43,6 +43,10 @@ class CenterNotSingularAdapted(FoliationLabError):
     pass
 
 
+class DicriticalRoutesDisagree(FoliationLabError):
+    """The two dicriticality routes disagree on an adapted center: a bug."""
+
+
 class ScriptChartMissing(FoliationLabError):
     pass
 

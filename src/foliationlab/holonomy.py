@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import deque
 
 from .errors import BadParameters, LeftDomain, StepTooLarge, ZeroLambda
 
@@ -28,6 +29,8 @@ class LinearModel:
             raise ZeroLambda("model residues must be nonzero")
         self.tau = len(self.lam)
         self.delta = float(delta)
+        if not self.delta > 0:
+            raise BadParameters("the polydisc radius must be positive")
         self.perturbations = perturbations or (None,) * self.tau
         self.rho = rho
         self.weights = tuple(float(r) for r in weights) if weights else None
@@ -64,7 +67,7 @@ class LinearModel:
 
 class NumericConfig:
     def __init__(self, step=1e-3, tol=1e-9, max_length=200.0):
-        if step <= 0 or tol <= 0 or max_length <= 0:
+        if not (step > 0 and tol > 0 and max_length > 0):
             raise BadParameters("numeric configuration values must be positive")
         self.step = step
         self.tol = tol
@@ -80,6 +83,8 @@ DEFAULT_CONFIG = NumericConfig()
 
 def circle_path(alpha, turns=1):
     """x(t) = alpha * exp(2 pi i * turns * t)."""
+    if alpha == 0:
+        raise BadParameters("circle radius must be nonzero")
     w = 2j * math.pi * turns
 
     def f(t):
@@ -94,16 +99,19 @@ def spiral_path(start, end, turns=0):
     if start == 0 or end == 0:
         raise BadParameters("spiral endpoints must avoid the divisor")
     a = cmath.log(start)
-    b = cmath.log(end) + 2j * math.pi * turns
+    d = cmath.log(end) + 2j * math.pi * turns - a
 
     def f(t):
-        v = cmath.exp(a + (b - a) * t)
-        return v, (b - a) * v
-    f.length = abs(b - a) * max(abs(start), abs(end))
+        v = cmath.exp(a + d * t)
+        return v, d * v
+    f.length = abs(d) * max(abs(start), abs(end))
     return f
 
 
 def constant_path(value):
+    if value == 0:
+        raise BadParameters("a constant path must avoid the divisor")
+
     def f(t):
         return value, 0.0
     f.length = 0.0
@@ -114,53 +122,110 @@ def constant_path(value):
 # lifting
 # ---------------------------------------------------------------------------
 
-def lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
-    """Integrate the lifting of a base path through omega(gamma') = 0.
+# RK4 steps one lift may take; a lift that needs more raises StepTooLarge
+# before integrating, so a tiny configured step cannot hang a scenario.
+MAX_RK4_STEPS = 10 ** 6
 
-    paths maps each moving coordinate index to a base path; the fiber
-    coordinate is integrated in logarithmic form
-        u' = - sum_i (lam_i + b_i) (x_i'/x_i) / (lam_f + b_f),  x_f = e^u.
-    Returns the end value of the fiber coordinate.
+
+def _lift_steps(model, paths, fiber, start, config):
+    """The one RK4 kernel: yield (node values, u) at the start of a lift and
+    after every step.
+
+    The fiber coordinate is integrated in logarithmic form, u = log x_f; the
+    node values are the moving coordinates at that node, in the order of
+    `paths`.  Each base path is evaluated once per node: at the midpoint
+    (s + 1/2) h, shared by k2 and k3, and at the end (s + 1) h, which is the
+    next step's start.  When no moving or fiber coefficient is perturbed the
+    slope -sum_i lam_i (x_i'/x_i) / lam_f does not depend on u, so k2 = k3
+    and the end slope is the next step's k1.  The polydisc guard runs after
+    every step.
     """
     if start == 0:
         raise LeftDomain("start value lies on the divisor")
     length = sum(getattr(p, "length", 1.0) for p in paths.values())
     if length > config.max_length:
         raise StepTooLarge(f"path length {length:.3g} exceeds the configured bound")
+    if max(length, 1.0) / config.step > MAX_RK4_STEPS:
+        raise StepTooLarge(f"the lift needs more than {MAX_RK4_STEPS} RK4 steps")
     n = max(16, int(math.ceil(max(length, 1.0) / config.step)))
     h = 1.0 / n
+    h6 = h / 6
+    index = list(paths)
+    terms = [(model.lam[i], p) for i, p in paths.items()]
+    lam_f = model.lam[fiber]
+    bound = model.delta * (1 + 1e-9)
 
-    def point_at(t, u):
-        pt = [0.0] * model.tau
-        for i, p in paths.items():
-            pt[i] = p(t)[0]
-        pt[fiber] = cmath.exp(u)
-        return pt
-
-    def rhs(t, u):
-        pt = point_at(t, u)
-        num = 0.0
-        for i, p in paths.items():
+    def node(t):
+        """Moving coordinates at t and their log-derivatives x_i'/x_i."""
+        xs, ws = [], []
+        for _, p in terms:
             v, dv = p(t)
-            num += model.coefficient(i, pt) * (dv / v)
+            xs.append(v)
+            ws.append(dv / v)
+        return xs, ws
+
+    def slope(xs, ws, u):
+        """u' at node values xs, log-derivatives ws and x_f = e^u."""
+        pt = [0.0] * model.tau
+        for i, v in zip(index, xs):
+            pt[i] = v
+        pt[fiber] = cmath.exp(u)
+        num = 0.0
+        for i, w in zip(index, ws):
+            num += model.coefficient(i, pt) * w
         den = model.coefficient(fiber, pt)
         if den == 0:
             raise ZeroLambda("fiber coefficient vanished along the path")
         return -num / den
 
+    unperturbed = all(model.perturbations[i] is None for i in [*index, fiber])
     u = cmath.log(start)
-    check_every = max(1, n // 64)
+    xs, ws = node(0.0)
+    k1 = slope(xs, ws, u)
+    yield xs, u
     for s in range(n):
-        t = s * h
-        k1 = rhs(t, u)
-        k2 = rhs(t + h / 2, u + h * k1 / 2)
-        k3 = rhs(t + h / 2, u + h * k2 / 2)
-        k4 = rhs(t + h, u + h * k3)
-        u = u + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if s % check_every == 0:
-            pt = point_at(t + h, u)
-            if any(abs(c) > model.delta * (1 + 1e-9) for c in pt):
-                raise LeftDomain("lifted path exited the polydisc")
+        tm, te = (s + 0.5) * h, (s + 1) * h
+        if unperturbed:
+            # written out rather than through node() and slope(): this is
+            # the loop every probe and reach check spends its time in
+            num_m = num_e = 0.0
+            xs = []
+            for lam, p in terms:
+                v, dv = p(tm)
+                num_m += lam * (dv / v)
+                v, dv = p(te)
+                num_e += lam * (dv / v)
+                xs.append(v)
+            k2, k4 = -num_m / lam_f, -num_e / lam_f
+            u += h6 * (k1 + 4 * k2 + k4)
+            k1 = k4
+        else:
+            k1 = slope(xs, ws, u)
+            xm, wm = node(tm)
+            xs, ws = node(te)
+            k2 = slope(xm, wm, u + h * k1 / 2)
+            k3 = slope(xm, wm, u + h * k2 / 2)
+            k4 = slope(xs, ws, u + h * k3)
+            u += h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        outside = math.exp(u.real) > bound
+        for v in xs:
+            outside = outside or abs(v) > bound
+        if outside:
+            raise LeftDomain("lifted path exited the polydisc")
+        yield xs, u
+
+
+def lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
+    """Integrate the lifting of a base path through omega(gamma') = 0.
+
+    paths maps each moving coordinate index to a base path; the fiber
+    coordinate is integrated in logarithmic form
+        u' = - sum_i (lam_i + b_i) (x_i'/x_i) / (lam_f + b_f),  x_f = e^u.
+    Returns the end value of the fiber coordinate; raises LeftDomain when
+    the lift leaves the polydisc and StepTooLarge when the path is longer
+    than config.max_length or needs more than MAX_RK4_STEPS steps.
+    """
+    _, u = deque(_lift_steps(model, paths, fiber, start, config), maxlen=1)[0]
     return cmath.exp(u)
 
 
@@ -172,42 +237,23 @@ def loop_multiplier(lam, turns=1):
     return cmath.exp(-2j * math.pi * turns / lam)
 
 
-def nodal_first_integral_drift(model, paths, fiber, start, config=DEFAULT_CONFIG,
-                               samples=64):
-    """Max |log-drift| of the nodal first integral along the lifted path."""
+def nodal_first_integral_drift(model, paths, fiber, start, config=DEFAULT_CONFIG):
+    """Max |log-drift| of the nodal first integral over every step of one lift."""
     if not model.is_nodal:
         raise BadParameters("drift check requires a nodal model")
-    length = sum(getattr(p, "length", 1.0) for p in paths.values())
-    if length == 0:
-        return 0.0
-    base = None
-    drift = 0.0
-    sub = NumericConfig(step=config.step, tol=config.tol, max_length=config.max_length)
-    for s in range(samples + 1):
-        t = s / samples
-        # lift the truncated path and evaluate the integral at its endpoint
-        if s == 0:
-            y = start
-        else:
-            trunc = {i: _truncate(p, t) for i, p in paths.items()}
-            y = lift_path(model, trunc, fiber, start, sub)
+    if sorted([*paths, fiber]) != list(range(model.tau)):
+        raise BadParameters("drift check needs every coordinate moving or the fiber")
+    base, drift = None, 0.0
+    for xs, u in _lift_steps(model, paths, fiber, start, config):
         pt = [0.0] * model.tau
-        for i, p in paths.items():
-            pt[i] = p(t)[0]
-        pt[fiber] = y
-        val = model.first_integral_log(pt)
+        for i, v in zip(paths, xs):
+            pt[i] = v
+        pt[fiber] = cmath.exp(u)
+        value = model.first_integral_log(pt)
         if base is None:
-            base = val
-        drift = max(drift, abs(val - base))
+            base = value
+        drift = max(drift, abs(value - base))
     return drift
-
-
-def _truncate(path, t1):
-    def f(t):
-        v, dv = path(t * t1)
-        return v, dv * t1
-    f.length = getattr(path, "length", 1.0) * t1
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +317,8 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG,
     """
     if model.tau != 2:
         raise BadParameters("the probe drives two-variable models")
+    if not (alpha > 0 and eps > 0):
+        raise BadParameters("the probe needs a positive alpha and eps")
     base = 1 - fiber
     ratio = model.lam[base] / model.lam[fiber]
     records = []

@@ -9,7 +9,7 @@ import pytest
 from foliationlab.blowup import (BlowupAtlas, CenterSpec, center_is_invariant,
                                  center_multiplicity, chart_substitution,
                                  detect_dicritical, transform_form)
-from foliationlab.errors import DimensionError
+from foliationlab.errors import CenterNotSingularAdapted, DimensionError
 from foliationlab.field import FieldElement
 from foliationlab.forms import OneForm
 from foliationlab.poly import parse_polynomial
@@ -113,3 +113,15 @@ def test_translated_chart_points():
     paths = sorted(c.path for c in atlas.leaf_charts())
     assert any("@" in p[-1] or "=" in p[-1] or ":" in p[-1] or "y" in p[-1]
                for p in paths)
+
+
+def test_unadapted_axis_center_is_a_typed_error():
+    # dy is nonzero along {x = z = 0}: the contraction test, which reads only
+    # the dx and dz coefficients, would call the blow-up dicritical while the
+    # divisibility route would not
+    form = OneForm.parse(["z", "1", "x"], nvars=3, d=0)
+    center = CenterSpec.axis(0, 2)
+    with pytest.raises(CenterNotSingularAdapted):
+        detect_dicritical(form, center)
+    with pytest.raises(CenterNotSingularAdapted):
+        BlowupAtlas(form).blow_up((), center, check_adapted=False)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -142,3 +143,56 @@ def test_readme_scenario_sketch_runs_and_meets_its_expectations():
     assert scenario["expect"]["contains"]
     report, code, _ = run_scenario(scenario)
     assert expectation_met(scenario, report, code)
+
+
+LIFT = {"kind": "lift", "model": {"lam": [1, [0, 1]], "delta": 2.0},
+        "paths": [{"index": 0, "kind": "circle", "alpha": 0.5}],
+        "fiber": 1, "start": 0.5}
+BAD_BLOCKS = {
+    "missing_kind": {k: v for k, v in LIFT.items() if k != "kind"},
+    "model_without_lam_or_weights": {**LIFT, "model": {"delta": 2.0}},
+    "circle_of_radius_zero": {**LIFT, "paths": [{"index": 0, "kind": "circle", "alpha": 0}]},
+    "fiber_out_of_range": {**LIFT, "fiber": 2},
+    "fiber_is_a_path_index": {**LIFT, "fiber": 0},
+    "polydisc_of_radius_zero": {**LIFT, "model": {"lam": [1, 2], "delta": 0}},
+    "constant_path_on_the_divisor": {**LIFT, "paths": [{"index": 0, "kind": "constant",
+                                                        "value": 0}]},
+    "drift_with_a_still_coordinate": {
+        **LIFT, "kind": "drift", "fiber": 2,
+        "model": {"weights": [1, 2, 3], "split": 1, "delta": 4.0}},
+    "name_outside_the_output_directory": {**LIFT, "name": "../escaped"},
+    "probe_at_alpha_zero": {"kind": "probe", "model": {"lam": [1, [0, 1]], "delta": 50.0},
+                            "alpha": 0, "eps": 0.3,
+                            "grid": {"nx": 2, "ny": 2, "x_min": 0.2, "x_max": 0.8,
+                                     "y_min": 0.2, "y_max": 0.8}},
+}
+
+
+def _run_holonomy(tmp_path, blocks, config=None):
+    scenario = {"name": "bad-holonomy", "analyses": ["holonomy"],
+                "holonomy": {"blocks": blocks, "config": config or {}}}
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(scenario))
+    return main(["holonomy", str(src)])
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BLOCKS))
+def test_holonomy_blocks_reject_what_they_cannot_run(case, tmp_path, capsys):
+    good = {"kind": "multiplier", "lam": 2}
+    assert _run_holonomy(tmp_path, [good, BAD_BLOCKS[case]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "holonomy.blocks[1]" in err
+
+
+def test_holonomy_config_rejects_a_step_that_is_not_a_number(tmp_path, capsys):
+    assert _run_holonomy(tmp_path, [LIFT], {"step": float("nan")}) == 1
+    assert capsys.readouterr().err.startswith("error: holonomy: ")
+
+
+def test_holonomy_step_too_fine_for_the_cap_exits_at_once(tmp_path, capsys):
+    # step 1e-9 asks for ~3e9 RK4 steps on this circle; the cap refuses it
+    # before the first step instead of integrating for hours
+    t0 = time.perf_counter()
+    assert _run_holonomy(tmp_path, [LIFT], {"step": 1e-9}) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "RK4 steps" in capsys.readouterr().err
