@@ -106,7 +106,15 @@ class LeftDomain(FoliationLabError):
 
 
 class StepTooLarge(FoliationLabError):
-    pass
+    """A lift refused before integrating: it needs more RK4 steps than
+    holonomy.MAX_RK4_STEPS, so the configured step is too fine."""
+
+
+class PathTooLong(StepTooLarge):
+    """A lift refused because its path is longer than config.max_length.
+
+    The saturation probe skips such lifts; a plain StepTooLarge propagates.
+    """
 
 
 class BadParameters(FoliationLabError):

@@ -71,9 +71,12 @@ class OneForm:
 def saturate(form: OneForm):
     """Divide out the gcd of the plain coefficients.
 
-    Returns (saturated plain form, removed polynomial).  The gcd is normalised
-    to have graded-lex leading coefficient 1, so a monomial factor is removed
-    exactly and logarithmic residues survive unscaled.
+    Returns (saturated plain form, removed polynomial).  With two or more
+    nonzero coefficients the gcd has graded-lex leading coefficient 1, so a
+    monomial factor is removed exactly and logarithmic residues survive
+    unscaled.  With exactly one, that coefficient is removed whole and the
+    form becomes the constant 1 times its differential: (2x^2 + 4x) dx
+    saturates to (1) dx, removing 2x^2 + 4x.
     """
     plain = form.plain_coefficients()
     if all(c.is_zero() for c in plain):

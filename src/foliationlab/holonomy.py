@@ -12,7 +12,7 @@ import math
 import random
 from collections import deque
 
-from .errors import BadParameters, LeftDomain, StepTooLarge, ZeroLambda
+from .errors import BadParameters, LeftDomain, PathTooLong, StepTooLarge, ZeroLambda
 
 
 class LinearModel:
@@ -144,7 +144,7 @@ def _lift_steps(model, paths, fiber, start, config):
         raise LeftDomain("start value lies on the divisor")
     length = sum(getattr(p, "length", 1.0) for p in paths.values())
     if length > config.max_length:
-        raise StepTooLarge(f"path length {length:.3g} exceeds the configured bound")
+        raise PathTooLong(f"path length {length:.3g} exceeds the configured bound")
     if max(length, 1.0) / config.step > MAX_RK4_STEPS:
         raise StepTooLarge(f"the lift needs more than {MAX_RK4_STEPS} RK4 steps")
     n = max(16, int(math.ceil(max(length, 1.0) / config.step)))
@@ -222,8 +222,9 @@ def lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
     coordinate is integrated in logarithmic form
         u' = - sum_i (lam_i + b_i) (x_i'/x_i) / (lam_f + b_f),  x_f = e^u.
     Returns the end value of the fiber coordinate; raises LeftDomain when
-    the lift leaves the polydisc and StepTooLarge when the path is longer
-    than config.max_length or needs more than MAX_RK4_STEPS steps.
+    the lift leaves the polydisc, PathTooLong when the path is longer than
+    config.max_length and StepTooLarge when it needs more than
+    MAX_RK4_STEPS steps.
     """
     _, u = deque(_lift_steps(model, paths, fiber, start, config), maxlen=1)[0]
     return cmath.exp(u)
@@ -313,7 +314,9 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG,
     For each grid point (x_g, y_g) the probe solves for a start value on the
     transversal along a spiral path with k extra turns, then confirms the
     candidate by integrating the lift.  Nodal models leave exactly the points
-    with first-integral value beyond the transversal range unreached.
+    with first-integral value beyond the transversal range unreached.  A
+    candidate whose lift leaves the polydisc or whose spiral is too long is
+    skipped; a lift refused by the RK4 step cap raises StepTooLarge.
     """
     if model.tau != 2:
         raise BadParameters("the probe drives two-variable models")
@@ -335,7 +338,7 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG,
             path = {base: spiral_path(alpha, xg, turns=k)}
             try:
                 y_end = lift_path(model, path, fiber, y_start, config)
-            except (LeftDomain, StepTooLarge):
+            except (LeftDomain, PathTooLong):
                 continue
             if abs(y_end - yg) <= max(config.tol * 1e3, 1e-6) * max(1.0, abs(yg)):
                 ok = True

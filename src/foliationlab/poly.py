@@ -6,11 +6,20 @@ empty term map.  Up to three variables, named x, y, z (aliases x1, x2, x3).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .errors import DivisionByZero, FieldParseError, NotDivisible
 from .field import FieldElement
 
 VARNAMES = ("x", "y", "z")
+
+# Caps on a power `base^n` in parsed text, checked before it is expanded, so a
+# one-line coefficient can neither hang the parser nor build a huge integer:
+# the degree of the power, a bound on its term count, and n times the largest
+# bit length in a coefficient of the base, a bound on the coefficients' growth.
+MAX_POWER_DEGREE = 64
+MAX_POWER_TERMS = 128
+MAX_POWER_BITS = 1 << 16
 
 
 def _grlex_key(exps):
@@ -242,25 +251,27 @@ class Polynomial:
         return self.homogeneous_part(r, variables)
 
     # -- division -----------------------------------------------------
-    def div_var(self, i, k=1):
-        """Exact division by variable i to the power k."""
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i] < k:
-                raise NotDivisible(VARNAMES[i])
-            e2 = list(e)
-            e2[i] -= k
-            terms[tuple(e2)] = c
-        return Polynomial(self.nvars, self.d, terms)
-
     def exact_div(self, q):
-        """Exact polynomial division; raises NotDivisible on a remainder."""
+        """Exact polynomial division; raises NotDivisible on a remainder.
+
+        A single-term divisor, a nonzero constant among them, divides term by
+        term; any other goes through graded-lex long division.
+        """
         q = self._coerce(q)
         if q.is_zero():
             raise DivisionByZero("division by zero polynomial")
-        if q.is_constant():
-            inv = q.constant_term().inverse()
-            return self.scale(inv)
+        if len(q.terms) == 1:
+            (qe, qc), = q.terms.items()
+            terms = {}
+            for e, c in self.terms.items():
+                step = tuple(a - b for a, b in zip(e, qe))
+                if any(s < 0 for s in step):
+                    raise NotDivisible(repr(q))
+                terms[step] = c
+            if not qc.is_one():
+                inv = qc.inverse()
+                terms = {e: c * inv for e, c in terms.items()}
+            return Polynomial(self.nvars, self.d, terms)
         rem = self
         quot = Polynomial.zero(self.nvars, self.d)
         le, lc = q.leading()
@@ -276,6 +287,10 @@ class Polynomial:
         return quot
 
     def divisible_by(self, q):
+        q = self._coerce(q)
+        if len(q.terms) == 1:
+            (qe,) = q.terms
+            return all(a >= b for e in self.terms for a, b in zip(e, qe))
         try:
             self.exact_div(q)
             return True
@@ -385,6 +400,20 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def gcd_many(polys):
+    """Gcd of a sequence of polynomials; None for an empty one.
+
+    One polynomial comes back as it is, or 1 when it is a nonzero constant;
+    the gcd of two or more is monic.  When they are all nonzero and one is a
+    single term, the gcd is their monomial content (the componentwise least
+    exponent over all their terms): a monomial's only divisors are monomials.
+    Otherwise poly_gcd runs pairwise.
+    """
+    polys = list(polys)
+    if len(polys) > 1 and all(p.terms for p in polys) \
+            and any(len(p.terms) == 1 for p in polys):
+        content = tuple(map(min, zip(*(e for p in polys for e in p.terms))))
+        p = polys[0]
+        return Polynomial(p.nvars, p.d, {content: FieldElement(p.d, 1)})
     out = None
     for p in polys:
         out = p if out is None else poly_gcd(out, p)
@@ -442,6 +471,22 @@ class _Tokens:
         return v
 
 
+def _check_power(base, n):
+    """Refuse base^n (or base^-n) when it would pass one of the power caps."""
+    deg = max(base.degree(), 0)
+    if deg * n > MAX_POWER_DEGREE:
+        raise FieldParseError(f"power of degree {deg * n} exceeds {MAX_POWER_DEGREE}")
+    bits = max((max(q.numerator.bit_length(), q.denominator.bit_length())
+                for c in base.terms.values() for q in (c.ar, c.ai, c.br, c.bi)), default=1)
+    if bits * n > MAX_POWER_BITS:
+        raise FieldParseError(f"power with exponent {n} would build coefficients "
+                              f"beyond {MAX_POWER_BITS} bits")
+    t = len(base.terms)
+    bound = min(comb(t + n - 1, n), comb(deg * n + base.nvars, base.nvars)) if t else 0
+    if bound > MAX_POWER_TERMS:
+        raise FieldParseError(f"power may have {bound} terms, over {MAX_POWER_TERMS}")
+
+
 def parse_polynomial(text, nvars, d, varnames=None) -> Polynomial:
     names = {}
     for i, n in enumerate((varnames or VARNAMES)[:nvars]):
@@ -490,6 +535,7 @@ def parse_polynomial(text, nvars, d, varnames=None) -> Polynomial:
                 kk, n = toks.next()
             if kk != "num":
                 raise FieldParseError("exponent must be an integer literal")
+            _check_power(base, n)
             if neg:
                 if not base.is_constant():
                     raise FieldParseError("negative exponents only on constants")

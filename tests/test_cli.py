@@ -90,6 +90,19 @@ def test_parse_error_exit_one(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["(x+y+z+1)^10", "(x+y+z+1)^40", "2^100000000"])
+def test_oversized_power_exits_one_at_once(text, tmp_path, capsys):
+    # the parser refuses the power before expanding it
+    scenario = {"name": "big-power", "dimension": 3, "d": 0,
+                "form": {"coefficients": [text, "y", "z"]}, "analyses": ["classify"]}
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps(scenario))
+    t0 = time.perf_counter()
+    assert main(["analyze", str(src)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_unknown_analysis_is_an_error(tmp_path):
     from foliationlab.errors import ScenarioError
     with pytest.raises(ScenarioError):
@@ -196,3 +209,15 @@ def test_holonomy_step_too_fine_for_the_cap_exits_at_once(tmp_path, capsys):
     assert _run_holonomy(tmp_path, [LIFT], {"step": 1e-9}) == 1
     assert time.perf_counter() - t0 < 1.0
     assert "RK4 steps" in capsys.readouterr().err
+
+
+def test_probe_does_not_hide_the_step_cap(tmp_path, capsys):
+    # the probe skips candidates whose spiral is too long, but a lift the
+    # step cap refuses is a config error: the block fails instead of
+    # reporting every grid point unreached
+    probe = {**BAD_BLOCKS["probe_at_alpha_zero"], "alpha": 0.5}
+    t0 = time.perf_counter()
+    assert _run_holonomy(tmp_path, [probe], {"step": 1e-9}) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: holonomy.blocks[0]") and "RK4 steps" in err

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from foliationlab.errors import BadParameters, LeftDomain, ZeroLambda
+from foliationlab.errors import BadParameters, LeftDomain, StepTooLarge, ZeroLambda
 from foliationlab.holonomy import (LinearModel, NumericConfig, circle_path,
                                    lemma4_constant, lemma4_reach_check,
                                    lift_path, loop_multiplier,
@@ -103,6 +103,17 @@ def test_probe_complex_saddle_small_grid():
             for j in range(4)]
     res = saturation_probe(model, alpha=0.5, eps=0.3, grid=grid, config=cfg)
     assert res["fraction"] == 1.0
+
+
+def test_probe_skips_long_spirals_but_not_the_step_cap():
+    model = LinearModel([1.0, 1j], delta=50.0)
+    grid = [(0.3, 0.4), (0.7, 0.4j)]
+    # every candidate spiral is longer than max_length: skipped, not an error
+    res = saturation_probe(model, 0.5, 0.3, grid, NumericConfig(step=5e-3, max_length=1e-3))
+    assert res["fraction"] == 0.0
+    with pytest.raises(StepTooLarge) as refused:
+        saturation_probe(model, 0.5, 0.3, grid, NumericConfig(step=1e-9, max_length=2000.0))
+    assert type(refused.value) is StepTooLarge
 
 
 def test_probe_nodal_threshold_small_grid():

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from foliationlab.errors import FieldParseError, NotDivisible
 from foliationlab.field import FieldElement
-from foliationlab.poly import (Polynomial, gcd_many, parse_element,
-                               parse_polynomial, poly_gcd)
+from foliationlab.poly import (MAX_POWER_BITS, MAX_POWER_DEGREE, MAX_POWER_TERMS, Polynomial,
+                               gcd_many, parse_element, parse_polynomial, poly_gcd)
 
 
 def P(text, nvars=2, d=0):
@@ -115,3 +115,20 @@ def test_homogeneous_parts_and_order():
 def test_parse_element():
     e = parse_element("3/2 - sqrt(2)", 2)
     assert e == FieldElement(2, Fraction(3, 2), 0, -1, 0)
+
+
+def test_power_caps_admit_the_limits_and_refuse_past_them():
+    assert P(f"x^{MAX_POWER_DEGREE}") == Polynomial.var(0, 2, 0) ** MAX_POWER_DEGREE
+    assert len(P(f"(x+y)^{MAX_POWER_DEGREE}").terms) == MAX_POWER_DEGREE + 1
+    assert len(P("(x+y+z+1)^7", nvars=3).terms) == 120
+    assert P("2^-3") == P("1/8")
+    assert P("0^0") == P("1") and P("0^5").is_zero() and P("x^0") == P("1")
+    for text in (f"x^{MAX_POWER_DEGREE + 1}", f"(x^2+y)^{MAX_POWER_DEGREE // 2 + 1}",
+                 f"2^{MAX_POWER_BITS}", f"2^-{MAX_POWER_BITS}", "((2^64)^64)^64",
+                 "0^100000000"):
+        with pytest.raises(FieldParseError):
+            P(text)
+    # C(4 + 8 - 1, 8) = 165 terms may appear
+    assert MAX_POWER_TERMS < 165
+    with pytest.raises(FieldParseError, match="165 terms"):
+        P("(x+y+z+1)^8", nvars=3)
