@@ -12,7 +12,7 @@ from enum import Enum
 
 from .errors import DimensionError, LineNotInvariant, ZeroEntry, ZeroForm
 from .field import FieldElement, RatioClass, classify_ratio, nonresonant
-from .forms import OneForm, invariant_axis, saturate, singular_at_origin
+from .forms import OneForm, invariant_axis, log_coefficient, saturate, singular_at_origin
 from .poly import Polynomial, VARNAMES
 from .solve import univariate_roots
 
@@ -61,25 +61,6 @@ class PointClassification:
     invariant_axes: tuple = ()
     notes: tuple = ()
 
-    def residue_values(self):
-        return tuple(r for _, r in self.residues) if self.residues else None
-
-
-def normalized_coefficients(plain, inv, nvars, d):
-    """Per-variable coefficients with the invariant-axis product divided out.
-
-    beta_u = c_u / prod_{w invariant, w != u} x_w; for invariant u this is the
-    logarithmic coefficient, for transverse u the residual polynomial factor.
-    """
-    out = []
-    for u in range(nvars):
-        q = plain[u]
-        for w in inv:
-            if w != u and not q.is_zero():
-                q = q.exact_div(Polynomial.var(w, nvars, d))
-        out.append(q)
-    return out
-
 
 def classify_point(form: OneForm, divisor_vars=(), dicritical_vars=()):
     """Adapted classification of a germ at the origin.
@@ -100,8 +81,8 @@ def classify_point(form: OneForm, divisor_vars=(), dicritical_vars=()):
         nv, d = sat.nvars, sat.d
         plain = sat.plain_coefficients()
         inv = [v for v in range(nv) if invariant_axis(sat, v)]
-        beta = normalized_coefficients(plain, inv, nv, d)
-        has_unit = [not beta[v].constant_term().is_zero() for v in range(nv)]
+        has_unit = [not log_coefficient(sat, v, inv).constant_term().is_zero()
+                    for v in range(nv)]
         candidate = None
         for v in range(nv):
             if v in inv:
@@ -124,10 +105,8 @@ def classify_point(form: OneForm, divisor_vars=(), dicritical_vars=()):
         names.pop(candidate)
         sat, _ = saturate(out)
 
-    nv, d = sat.nvars, sat.d
-    plain = sat.plain_coefficients()
+    nv = sat.nvars
     inv = [v for v in range(nv) if invariant_axis(sat, v)]
-    beta = normalized_coefficients(plain, inv, nv, d)
 
     if not singular_at_origin(sat):
         return PointClassification(
@@ -135,7 +114,7 @@ def classify_point(form: OneForm, divisor_vars=(), dicritical_vars=()):
             eliminated=tuple(eliminated),
             invariant_axes=tuple(names[v] for v in inv), notes=tuple(notes))
 
-    residues = [(names[v], beta[v].constant_term()) for v in inv]
+    residues = [(names[v], log_coefficient(sat, v, inv).constant_term()) for v in inv]
     pre_simple = (len(inv) == nv and nv >= 1
                   and all(not r.is_zero() for _, r in residues))
     if pre_simple:

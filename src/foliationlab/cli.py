@@ -24,7 +24,7 @@ from .divisorgraph import DivisorGraph, from_atlas
 from .errors import BadParameters, FoliationLabError, InvalidGraph, ScenarioError
 from .field import FieldElement
 from .forms import OneForm
-from .poly import parse_element
+from .poly import VARNAMES, parse_element
 from .holonomy import (LinearModel, NumericConfig, circle_path, constant_path,
                        lemma4_constant, lemma4_reach_check, lift_path,
                        loop_multiplier, nodal_first_integral_drift,
@@ -71,14 +71,33 @@ def render_report(report):
 # ---------------------------------------------------------------------------
 
 def parse_form(scenario):
+    """The scenario's 1-form.  A malformed field is a ScenarioError naming it:
+    'dimension' is an integer from 1 to 3 (default: the number of
+    coefficients), 'd' an integer (default 0), 'form.coefficients' a list of
+    that many strings and 'form.log', when present, a list of that many
+    booleans."""
     spec = scenario.get("form")
     if spec is None:
         raise ScenarioError("scenario has no 1-form")
-    nvars = scenario.get("dimension", len(spec["coefficients"]))
-    d = scenario.get("d", 0)
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"'form' must be an object, not {spec!r}")
+    coeffs = spec.get("coefficients")
+    if not isinstance(coeffs, list):
+        raise ScenarioError(f"'form.coefficients' must be a list of strings, not {coeffs!r}")
+    nvars = _field(scenario, "dimension", (int,), len(coeffs))
+    if not 1 <= nvars <= len(VARNAMES):
+        raise ScenarioError(f"'dimension' must be from 1 to {len(VARNAMES)}, not {nvars}")
+    if len(coeffs) != nvars:
+        raise ScenarioError(f"'form.coefficients' needs {nvars} entries, not {len(coeffs)}")
+    for i, c in enumerate(coeffs):
+        if not isinstance(c, str):
+            raise ScenarioError(f"'form.coefficients[{i}]' must be a string, not {c!r}")
+    d = _field(scenario, "d", (int,), 0)
     log = spec.get("log")
-    return OneForm.parse(spec["coefficients"], nvars=nvars, d=d,
-                         log=[bool(b) for b in log] if log else None)
+    if log is not None and not (isinstance(log, list) and len(log) == nvars
+                                and all(isinstance(b, bool) for b in log)):
+        raise ScenarioError(f"'form.log' must be a list of {nvars} booleans, not {log!r}")
+    return OneForm.parse(coeffs, nvars=nvars, d=d, log=log)
 
 
 def parse_center(record, nvars, d):

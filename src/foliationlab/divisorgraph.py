@@ -10,9 +10,10 @@ from __future__ import annotations
 import json
 from collections import deque
 
-from .errors import InvalidGraph, MissingFiberData, NotRegular, UnclassifiableCurve
+from .blowup import CenterSpec, center_in_singular_locus
+from .errors import InvalidGraph, MissingFiberData, NotDivisible, NotRegular
 from .field import FieldElement
-from .forms import invariant_axis
+from .forms import invariant_axis, log_coefficient
 from .poly import VARNAMES, Polynomial
 
 
@@ -81,9 +82,6 @@ class DivisorGraph:
 
     def curve_points(self, curve_id):
         return [pid for pid, p in self.points.items() if curve_id in p.get("curves", [])]
-
-    def curves_through(self, point_id):
-        return list(self.points[point_id].get("curves", []))
 
     def s_trace_curves(self):
         return [cid for cid, c in self.curves.items() if c.get("kind") == "STraceCurve"]
@@ -430,7 +428,7 @@ def _generic_ratio_class(p: Polynomial, q: Polynomial):
     # constant ratio iff p = c q for a field constant c
     try:
         quot = p.exact_div(q)
-    except Exception:
+    except NotDivisible:
         quot = None
     if quot is not None and quot.is_constant():
         c = quot.constant_term()
@@ -467,46 +465,29 @@ def from_atlas(atlas):
         nv = form.nvars
         if nv != 3:
             continue
-        plain = form.plain_coefficients()
+        inv = [t for t in range(nv) if invariant_axis(form, t)]
         axes_curves = {}
         for u in range(nv):
             for v in range(u + 1, nv):
-                on_axis = [c.set_var(u, zero).set_var(v, zero) for c in plain]
-                if not all(c.is_zero() for c in on_axis):
+                if not center_in_singular_locus(form, CenterSpec.axis(u, v)):
                     continue
                 # the axis {x_u = x_v = 0} is a singular curve
                 sig = []
                 for w_, comp in ((u, chart.divisor.get(u)), (v, chart.divisor.get(v))):
                     if comp is not None:
                         sig.append(comp)
-                    elif invariant_axis(form, w_):
+                    elif w_ in inv:
                         sig.append(strict_component(w_))
                 sig = tuple(sorted(sig))
                 key = sig if sig else ((), chart.path, u, v)
                 if key not in curve_ids:
                     curve_ids[key] = f"G{len(curve_ids) + 1}"
                 cid = curve_ids[key]
-                inv_u = invariant_axis(form, u)
-                inv_v = invariant_axis(form, v)
                 nodal = False
-                if inv_u and inv_v:
-                    pu, pv = plain[u], plain[v]
-                    # logarithmic coefficients along the curve
-                    try:
-                        au = pu.exact_div(Polynomial.var(v, nv, form.d))
-                        av = pv.exact_div(Polynomial.var(u, nv, form.d))
-                    except Exception:
-                        raise UnclassifiableCurve(cid)
-                    other_inv = [t for t in range(nv)
-                                 if t not in (u, v) and invariant_axis(form, t)]
-                    for t in other_inv:
-                        xt = Polynomial.var(t, nv, form.d)
-                        if au.divisible_by(xt):
-                            au = au.exact_div(xt)
-                        if av.divisible_by(xt):
-                            av = av.exact_div(xt)
-                    ru = au.set_var(u, zero).set_var(v, zero)
-                    rv = av.set_var(u, zero).set_var(v, zero)
+                if u in inv and v in inv:
+                    # logarithmic coefficients of x_u and x_v along the curve
+                    ru, rv = (log_coefficient(form, w, inv).set_var(u, zero).set_var(v, zero)
+                              for w in (u, v))
                     rc, _c = _generic_ratio_class(ru, rv)
                     nodal = rc is RatioClass.NEGATIVE_IRRATIONAL
                 e_inv = sum(1 for c in sig if components[c]["invariant"])
@@ -529,8 +510,8 @@ def from_atlas(atlas):
             nodal_pt = (cls.saddle_nodal is SaddleNodal.NODAL)
             pid = "P" + "_".join(chart.path) if chart.path else "P_root"
             comps_here = {chart.divisor[v] for v in chart.divisor}
-            for v in range(nv):
-                if v not in chart.divisor and invariant_axis(form, v):
+            for v in inv:
+                if v not in chart.divisor:
                     comps_here.add(strict_component(v))
             points[pid] = {
                 "curves": sorted(set(axes_curves.values())),

@@ -91,12 +91,6 @@ class NotRegular(FoliationLabError):
     pass
 
 
-class UnclassifiableCurve(FoliationLabError):
-    def __init__(self, curve_id):
-        self.curve_id = curve_id
-        super().__init__(f"cannot classify generic point of curve {curve_id!r}")
-
-
 class ZeroLambda(FoliationLabError):
     pass
 

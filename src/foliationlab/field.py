@@ -50,6 +50,19 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def square_and_multiply(base, n: int):
+    """base**n for n >= 1, starting from base: x**1 is x and x**8 squares
+    three times, so no squaring goes unused."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
+
+
 class FieldElement:
     __slots__ = ("d", "ar", "ai", "br", "bi")
 
@@ -65,14 +78,6 @@ class FieldElement:
 
     # -- constructors -------------------------------------------------
     @classmethod
-    def rational(cls, q, d=0):
-        return cls(d, _frac(q))
-
-    @classmethod
-    def imag_unit(cls, d=0):
-        return cls(d, 0, 1)
-
-    @classmethod
     def sqrt_d(cls, d):
         if d == 0:
             return cls(0, 0)
@@ -87,9 +92,6 @@ class FieldElement:
 
     def is_rational(self) -> bool:
         return not (self.ai or self.br or self.bi)
-
-    def is_real(self) -> bool:
-        return not (self.ai or self.bi)
 
     def has_sqrt_part(self) -> bool:
         return bool(self.br or self.bi)
@@ -182,14 +184,7 @@ class FieldElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = FieldElement(self.d, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_and_multiply(self, n) if n else FieldElement(self.d, 1)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -203,18 +198,10 @@ class FieldElement:
     def __hash__(self):
         return hash((self.ar, self.ai, self.br, self.bi, self.d if self.has_sqrt_part() else 0))
 
-    # -- conjugations and numeric view --------------------------------
-    def conj(self):
-        """Complex conjugation (I -> -I)."""
-        return FieldElement(self.d, self.ar, -self.ai, self.br, -self.bi)
-
+    # -- conjugation --------------------------------------------------
     def sqrt_conj(self):
         """Galois conjugation sqrt(d) -> -sqrt(d)."""
         return FieldElement(self.d, self.ar, self.ai, -self.br, -self.bi)
-
-    def to_complex(self) -> complex:
-        r = self.d ** 0.5
-        return complex(self.ar + r * self.br, self.ai + r * self.bi)
 
     # -- decidable sign tests -----------------------------------------
     def reality_sign(self) -> Sign:

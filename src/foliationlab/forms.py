@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from .errors import DimensionError, NotDivisible, ZeroForm
-from .field import FieldElement
 from .poly import Polynomial, VARNAMES, gcd_many, parse_polynomial
 
 
@@ -47,10 +46,6 @@ class OneForm:
     def plain(self):
         return OneForm(self.plain_coefficients())
 
-    def residues(self):
-        """Constant terms of the logarithmic coefficients (None where plain)."""
-        return tuple(c.constant_term() if f else None for c, f in zip(self.coeffs, self.log))
-
     def __eq__(self, other):
         if not isinstance(other, OneForm):
             return NotImplemented
@@ -86,73 +81,59 @@ def saturate(form: OneForm):
     return OneForm(sat), g
 
 
-def to_log_form(form: OneForm, variables):
-    """Re-express a plain form with dx_i/x_i poles along the given variables.
+def invariant_axis(form: OneForm, v) -> bool:
+    """Is the hyperplane {x_v = 0} invariant for the (plain) form?
 
-    Each requested variable must have all *other* plain coefficients divisible
-    by it (its hyperplane is invariant); its own coefficient picks up a factor
-    of the variable.  Raises NotDivisible otherwise.
+    The one invariance test: every other plain coefficient is divisible by x_v.
     """
     plain = form.plain_coefficients()
-    variables = sorted(set(variables))
-    for v in variables:
-        xv = Polynomial.var(v, form.nvars, form.d)
-        for j, c in enumerate(plain):
-            if j != v and not c.is_zero() and not c.divisible_by(xv):
-                raise NotDivisible(VARNAMES[v])
-    log = [False] * form.nvars
-    for v in variables:
-        log[v] = True
-    coeffs = []
-    for j, c in enumerate(plain):
-        q = c
-        for v in variables:
-            if v != j and not q.is_zero():
-                q = q.exact_div(Polynomial.var(v, form.nvars, form.d))
-        coeffs.append(q)
-    return OneForm(coeffs, log=log)
-
-
-def log_residues(form: OneForm, variables):
-    """Residues of the invariant hyperplanes {x_v = 0}.
-
-    For a saturated plain form sum c_j dx_j whose listed hyperplanes are all
-    invariant, the residue of x_v is the constant term of
-    c_v / prod_{w in variables, w != v} x_w; the denominators divide exactly.
-    """
-    plain = form.plain_coefficients()
-    variables = sorted(set(variables))
-    for v in variables:
-        xv = Polynomial.var(v, form.nvars, form.d)
-        for j, c in enumerate(plain):
-            if j != v and not c.is_zero() and not c.divisible_by(xv):
-                raise NotDivisible(VARNAMES[v])
-    out = {}
-    for v in variables:
-        q = plain[v]
-        for w in variables:
-            if w != v and not q.is_zero():
-                q = q.exact_div(Polynomial.var(w, form.nvars, form.d))
-        out[v] = q.constant_term() if not q.is_zero() else FieldElement(form.d, 0)
-    return out
+    xv = Polynomial.var(v, form.nvars, form.d)
+    return all(c.is_zero() or c.divisible_by(xv)
+               for j, c in enumerate(plain) if j != v)
 
 
 def log_coefficient(form: OneForm, v, variables):
-    """Full logarithmic coefficient of dx_v/x_v (polynomial, not just residue)."""
-    plain = form.plain_coefficients()
-    q = plain[v]
+    """c_v / prod_{w in variables, w != v} x_w for the plain coefficients c.
+
+    The one such division.  With invariant hyperplanes {x_w = 0} it divides
+    exactly: for v among them it is the logarithmic coefficient of dx_v/x_v,
+    whose constant term is the residue; for a transverse v it is the factor
+    left after the invariant axes.
+    """
+    q = form.plain_coefficients()[v]
     for w in sorted(set(variables)):
         if w != v and not q.is_zero():
             q = q.exact_div(Polynomial.var(w, form.nvars, form.d))
     return q
 
 
-def invariant_axis(form: OneForm, v) -> bool:
-    """Is the hyperplane {x_v = 0} invariant for the (plain) form?"""
-    plain = form.plain_coefficients()
-    xv = Polynomial.var(v, form.nvars, form.d)
-    return all(c.is_zero() or c.divisible_by(xv)
-               for j, c in enumerate(plain) if j != v)
+def _invariant_variables(form: OneForm, variables):
+    """The variables sorted; NotDivisible names the first non-invariant one."""
+    variables = sorted(set(variables))
+    for v in variables:
+        if not invariant_axis(form, v):
+            raise NotDivisible(VARNAMES[v])
+    return variables
+
+
+def to_log_form(form: OneForm, variables):
+    """Re-express a plain form with dx_i/x_i poles along the given variables.
+
+    Each requested hyperplane must be invariant; its own coefficient picks up
+    a factor of the variable.  Raises NotDivisible otherwise.
+    """
+    variables = _invariant_variables(form, variables)
+    return OneForm([log_coefficient(form, j, variables) for j in range(form.nvars)],
+                   log=[j in variables for j in range(form.nvars)])
+
+
+def log_residues(form: OneForm, variables):
+    """Residues of the invariant hyperplanes {x_v = 0}: the constant terms of
+    their logarithmic coefficients.  Raises NotDivisible unless all of the
+    listed hyperplanes are invariant.
+    """
+    variables = _invariant_variables(form, variables)
+    return {v: log_coefficient(form, v, variables).constant_term() for v in variables}
 
 
 def singular_at_origin(form: OneForm) -> bool:

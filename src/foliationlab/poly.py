@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DivisionByZero, FieldParseError, NotDivisible
-from .field import FieldElement
+from .field import FieldElement, square_and_multiply
 
 VARNAMES = ("x", "y", "z")
 
@@ -156,14 +156,7 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        out = self.one_like()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return square_and_multiply(self, n) if n else self.one_like()
 
     def scale(self, c: FieldElement):
         return Polynomial(self.nvars, self.d, {e: v * c for e, v in self.terms.items()})
@@ -211,13 +204,24 @@ class Polynomial:
             out = out + t
         return out
 
-    def set_var(self, i, value):
-        """Substitute a single variable, keeping the variable count."""
-        images = [Polynomial.var(j, self.nvars, self.d) for j in range(self.nvars)]
-        if isinstance(value, FieldElement):
-            value = Polynomial.const(value, self.nvars, self.d)
-        images[i] = value
-        return self.substitute(images)
+    def set_var(self, i, c: FieldElement):
+        """Restrict to the hyperplane {x_i = c} for a field constant c, keeping
+        the variable count.
+
+        The one restriction in the package: each term moves to e_i = 0 scaled
+        by c^e_i (and is dropped when c = 0 and e_i > 0), with no substitution.
+        """
+        terms = {}
+        for e, v in self.terms.items():
+            k = e[i]
+            if k:
+                if c.is_zero():
+                    continue
+                v = v * c ** k
+                e = e[:i] + (0,) + e[i + 1:]
+            s = terms.get(e)
+            terms[e] = v if s is None else s + v
+        return Polynomial(self.nvars, self.d, terms)
 
     def shift(self, offsets):
         """Translate: variable i -> variable i + offsets[i]."""

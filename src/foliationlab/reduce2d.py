@@ -141,20 +141,6 @@ def dual_eigenvalues(form: OneForm):
     return (tr + s) / two, (tr - s) / two, False
 
 
-def leaf_residues(form: OneForm):
-    """Axis-attached residue pair (alpha_x, alpha_y) of a terminal germ.
-
-    For an invariant axis the matrix of the dual field is triangular and the
-    residues are (M[1][1], -M[0][0]); with both axes invariant this agrees
-    with the logarithmic residues.
-    """
-    m = linear_part_matrix(form)
-    if m[0][1].is_zero() or m[1][0].is_zero():
-        return m[1][1], -m[0][0], True
-    e1, e2, _ = dual_eigenvalues(form)
-    return e2, -e1, False
-
-
 def singular_points_on_exceptional(form: OneForm, exc_var):
     """Roots t with (0, t) (exc_var = first coord) singular for the form.
 
@@ -231,13 +217,14 @@ def _terminal_kind(form, axes):
     ratio = classify_ratio(e1, e2)
     if ratio is RatioClass.POSITIVE_RATIONAL:
         return False, None
-    ax, ay, axis_attached = leaf_residues(form)
-    res = (ax, ay)
+    # the residue pair (alpha_x, alpha_y) is (e2, -e1); with an invariant axis
+    # the matrix is triangular and e1, e2 are attached to x and y
+    res = (e2, -e1)
     verdict, witness = nonresonant(res)
     inv = [v for v in (0, 1) if invariant_axis(form, v)]
     on_divisor = sum(1 for v in inv if v in axes)
     notes = ()
-    if not axis_attached:
+    if not attached:
         notes = ("residues not attached to coordinate axes",)
     if verdict == "nonresonant":
         kind = (PointKind.SIMPLE_CH_CORNER if len(inv) == 2 and on_divisor == 2

@@ -221,3 +221,50 @@ def test_probe_does_not_hide_the_step_cap(tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: holonomy.blocks[0]") and "RK4 steps" in err
+
+
+# (changes to the log_corner_3d scenario, text the error must contain)
+BAD_FORMS = {
+    "dimension_true": ({"dimension": True}, "'dimension'"),
+    "dimension_four": ({"dimension": 4}, "'dimension'"),
+    "dimension_zero": ({"dimension": 0}, "'dimension'"),
+    "dimension_string": ({"dimension": "2"}, "'dimension'"),
+    "d_string_expression": ({"d": "sqrt(-1)"}, "'d'"),
+    "d_string_integer": ({"d": "2"}, "'d'"),
+    "d_float": ({"d": 2.0}, "'d'"),
+    "form_not_an_object": ({"form": ["2", "3", "-4*sqrt(2)"]}, "'form'"),
+    "coefficients_missing": ({"form": {"log": [True] * 3}}, "'form.coefficients'"),
+    "coefficients_not_a_list": ({"form": {"coefficients": "2"}}, "'form.coefficients'"),
+    "coefficients_too_few": ({"form": {"coefficients": ["2", "3"]}}, "'form.coefficients'"),
+    "coefficient_not_a_string": ({"form": {"coefficients": ["2", 3, "z"]}},
+                                 "'form.coefficients[1]'"),
+    "log_too_short": ({"form": {"coefficients": ["2", "3", "1"], "log": [True]}},
+                      "'form.log'"),
+    "log_not_booleans": ({"form": {"coefficients": ["2", "3", "1"], "log": [1, 1, 1]}},
+                         "'form.log'"),
+    "log_not_a_list": ({"form": {"coefficients": ["2", "3", "1"], "log": True}},
+                       "'form.log'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FORMS))
+def test_form_block_rejects_what_it_cannot_read(case, tmp_path, capsys):
+    change, where = BAD_FORMS[case]
+    scenario = {**load("log_corner_3d.json"), **change}
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(scenario))
+    assert main(["analyze", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
+@pytest.mark.parametrize("scenario, message", [
+    ({"name": "no-form", "form": None, "analyses": ["classify"]}, "scenario has no 1-form"),
+    ({"name": "bad-d", "d": 4, "form": {"coefficients": ["x", "y"]},
+      "analyses": ["classify"]}, "not square-free"),
+])
+def test_form_block_keeps_its_earlier_messages(scenario, message, tmp_path, capsys):
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(scenario))
+    assert main(["analyze", str(src)]) == 1
+    assert message in capsys.readouterr().err

@@ -158,3 +158,24 @@ def test_trace_incompatibility_pairs():
     # both nodal: compatible
     g.curves["T2"]["generically_nodal"] = True
     assert g.trace_incompatibility_check() == []
+
+
+def test_a_fault_in_the_generic_ratio_division_propagates(monkeypatch):
+    # only NotDivisible means "not a constant ratio"; any other error inside
+    # exact_div is a fault and must not be read as a non-real ratio
+    import sys
+    from foliationlab.poly import Polynomial
+
+    w = OneForm.parse(["2", "3", "-4*sqrt(2)"], nvars=3, d=2, log=[True, True, True])
+    atlas = BlowupAtlas(w)
+    atlas.blow_up((), CenterSpec.origin(3, 2))
+    exact_div = Polynomial.exact_div
+
+    def faulty(self, q):
+        if sys._getframe(1).f_code.co_name == "_generic_ratio_class":
+            raise RuntimeError("fault inside exact_div")
+        return exact_div(self, q)
+
+    monkeypatch.setattr(Polynomial, "exact_div", faulty)
+    with pytest.raises(RuntimeError, match="fault inside exact_div"):
+        from_atlas(atlas)

@@ -136,3 +136,15 @@ def test_bruteforce_agrees_on_samples():
         verdict, _ = nonresonant(lams)
         brute = resonance_bruteforce(lams, bound=20)
         assert (verdict == "resonant") == (brute is not None)
+
+
+@given(elements(d=2), st.integers(-4, 9))
+@settings(max_examples=60, deadline=None)
+def test_power_matches_repeated_multiplication(x, n):
+    if x.is_zero() and n < 0:
+        return
+    base = x if n >= 0 else x.inverse()
+    expected = F(2, 1)
+    for _ in range(abs(n)):
+        expected = expected * base
+    assert x ** n == expected

@@ -132,3 +132,21 @@ def test_power_caps_admit_the_limits_and_refuse_past_them():
     assert MAX_POWER_TERMS < 165
     with pytest.raises(FieldParseError, match="165 terms"):
         P("(x+y+z+1)^8", nvars=3)
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3)])
+def test_power_spends_no_unused_squaring(n, products, monkeypatch):
+    p = P("x + 2*y - 1")
+    expected = p.one_like()
+    for _ in range(n):
+        expected = expected * p
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert p ** n == expected
+    assert len(calls) == products
