@@ -1,5 +1,8 @@
-"""Scenario runner: parse a JSON scenario, orchestrate the analyses, emit a
+"""Scenario runner: check a JSON scenario, orchestrate the analyses, emit a
 deterministic report plus optional DOT/CSV artifacts.
+
+The scenario format belongs to scenario.py.  Each analysis takes a document
+or the Scenario that scenario.check made of it, and reads only the Scenario.
 
 Exit codes: 0 success, 2 validator or theorem violations on ingested data,
 1 tool errors.
@@ -7,7 +10,6 @@ Exit codes: 0 success, 2 validator or theorem violations on ingested data,
 from __future__ import annotations
 
 import argparse
-import cmath
 import enum
 import hashlib
 import json
@@ -21,15 +23,13 @@ from .blowup import BlowupAtlas, CenterSpec, detect_dicritical
 from .classify import (classify_point, degree_identity_check, monomial_probe,
                        multiplicity, restrict_to_exceptional)
 from .divisorgraph import DivisorGraph, from_atlas
-from .errors import BadParameters, FoliationLabError, InvalidGraph, ScenarioError
+from .errors import FoliationLabError, InvalidGraph, ScenarioError
 from .field import FieldElement
-from .forms import OneForm
-from .poly import VARNAMES, parse_element
-from .holonomy import (LinearModel, NumericConfig, circle_path, constant_path,
-                       lemma4_constant, lemma4_reach_check, lift_path,
-                       loop_multiplier, nodal_first_integral_drift,
-                       saturation_probe, spiral_path, sweep_csv)
+from .holonomy import (lemma4_constant, lemma4_reach_check, lift_path, loop_multiplier,
+                       nodal_first_integral_drift, saturation_probe, sweep_csv)
 from .reduce2d import first_blowup_index_sum, reduce
+from .scenario import check, expectations, load
+from .scenario import parse_center, parse_form  # noqa: F401  (part of this module's API)
 
 
 # ---------------------------------------------------------------------------
@@ -67,101 +67,21 @@ def render_report(report):
 
 
 # ---------------------------------------------------------------------------
-# scenario pieces
-# ---------------------------------------------------------------------------
-
-def parse_form(scenario):
-    """The scenario's 1-form.  A malformed field is a ScenarioError naming it:
-    'dimension' is an integer from 1 to 3 (default: the number of
-    coefficients), 'd' an integer (default 0), 'form.coefficients' a list of
-    that many strings and 'form.log', when present, a list of that many
-    booleans."""
-    spec = scenario.get("form")
-    if spec is None:
-        raise ScenarioError("scenario has no 1-form")
-    if not isinstance(spec, dict):
-        raise ScenarioError(f"'form' must be an object, not {spec!r}")
-    coeffs = spec.get("coefficients")
-    if not isinstance(coeffs, list):
-        raise ScenarioError(f"'form.coefficients' must be a list of strings, not {coeffs!r}")
-    nvars = _field(scenario, "dimension", (int,), len(coeffs))
-    if not 1 <= nvars <= len(VARNAMES):
-        raise ScenarioError(f"'dimension' must be from 1 to {len(VARNAMES)}, not {nvars}")
-    if len(coeffs) != nvars:
-        raise ScenarioError(f"'form.coefficients' needs {nvars} entries, not {len(coeffs)}")
-    for i, c in enumerate(coeffs):
-        if not isinstance(c, str):
-            raise ScenarioError(f"'form.coefficients[{i}]' must be a string, not {c!r}")
-    d = _field(scenario, "d", (int,), 0)
-    log = spec.get("log")
-    if log is not None and not (isinstance(log, list) and len(log) == nvars
-                                and all(isinstance(b, bool) for b in log)):
-        raise ScenarioError(f"'form.log' must be a list of {nvars} booleans, not {log!r}")
-    return OneForm.parse(coeffs, nvars=nvars, d=d, log=log)
-
-
-def parse_center(record, nvars, d):
-    """A center record: {"kind": "point", "coords": [...]} (the origin when
-    coords is absent) or {"kind": "curve", "axis": [a, b]}."""
-    if not isinstance(record, dict):
-        raise ScenarioError(f"center must be an object, not {record!r}")
-    kind = record.get("kind", "point")
-    if kind == "point":
-        coords = record.get("coords")
-        if coords is None:
-            return CenterSpec.origin(nvars, d)
-        if not isinstance(coords, list) or len(coords) != nvars:
-            raise ScenarioError(f"point center needs {nvars} 'coords', not {coords!r}")
-        return CenterSpec("point", point=[parse_element(c, d) for c in coords])
-    if kind != "curve":
-        raise ScenarioError(f"unknown center kind {kind!r}; expected 'point' or 'curve'")
-    axis = record.get("axis")
-    if not (isinstance(axis, list) and len(axis) == 2 and axis[0] != axis[1]
-            and all(isinstance(v, int) and 0 <= v < nvars for v in axis)):
-        raise ScenarioError(f"curve center needs an 'axis' of two distinct variable "
-                            f"indices below {nvars}, not {axis!r}")
-    return CenterSpec.axis(*axis)
-
-
-def run_script(scenario, form):
-    """Blow up each step's center in the chart at its path (default: root).
-
-    A step is {"path": [chart labels], "center": center record}.
-    """
-    atlas = BlowupAtlas(form)
-    for i, step in enumerate(scenario.get("script", [])):
-        if not isinstance(step, dict):
-            raise ScenarioError(f"script[{i}]: a step must be an object, not {step!r}")
-        unknown = sorted(set(step) - {"path", "center"})
-        if unknown:
-            raise ScenarioError(f"script[{i}]: unknown keys {unknown}; "
-                                "a step has only 'path' and 'center'")
-        try:
-            center = parse_center(step.get("center", {}), form.nvars, form.d)
-        except ScenarioError as e:
-            raise ScenarioError(f"script[{i}]: {e}") from None
-        atlas.blow_up(tuple(step.get("path", [])), center)
-    return atlas
-
-
-# ---------------------------------------------------------------------------
 # analyses
 # ---------------------------------------------------------------------------
 
 def analysis_classify(scenario, form):
-    cls = classify_point(form,
-                         divisor_vars=tuple(scenario.get("divisor_vars", ())),
-                         dicritical_vars=tuple(scenario.get("dicritical_vars", ())))
+    sc = check(scenario, form=form)
+    cls = classify_point(form, divisor_vars=sc.divisor_vars,
+                         dicritical_vars=sc.dicritical_vars)
     out = {"kind": cls.kind, "dimensional_type": cls.dimensional_type,
            "residues": [[v, str(r)] for v, r in (cls.residues or ())],
            "saddle_nodal": cls.saddle_nodal, "notes": list(cls.notes),
            "multiplicity": multiplicity(form)}
     if cls.resonance_witness is not None:
         out["resonance_witness"] = list(cls.resonance_witness)
-    probe = scenario.get("probe")
-    if probe is not None:
-        lams = [parse_element(t, form.d) for t in probe["lams"]]
-        out["probe"] = monomial_probe(lams, probe["a"], probe["b"])
+    if sc.probe is not None:
+        out["probe"] = monomial_probe(*sc.probe)
     return out
 
 
@@ -180,7 +100,7 @@ def analysis_dicritical(scenario, form):
 
 
 def analysis_reduce2d(scenario, form):
-    tree = reduce(form, max_depth=scenario.get("max_depth", 24))
+    tree = reduce(form, max_depth=check(scenario, form=form).max_depth)
     leaves = []
     for l in sorted(tree.leaves, key=lambda l: l.path):
         leaves.append({"path": list(l.path), "kind": l.kind,
@@ -211,14 +131,16 @@ def analysis_reduce2d(scenario, form):
 
 
 def analysis_graph(scenario, form):
+    sc = check(scenario, form=form)
     violations = []
-    if "graph" in scenario:
-        graph = DivisorGraph.from_json_dict(scenario["graph"])
+    if sc.graph is not None:
+        graph = sc.graph
     else:
-        atlas = run_script(scenario, form)
+        atlas = BlowupAtlas(form)
+        for path, center in sc.script:
+            atlas.blow_up(path, center)
         graph = from_atlas(atlas)
-    if scenario.get("flags"):
-        graph.flags.update(scenario["flags"])
+    graph.flags.update(sc.flags)
     rep = {"provenance": graph.provenance, "graph": graph.to_json_dict()}
     rep["violations"] = graph.validate()
     violations.extend(rep["violations"])
@@ -242,161 +164,45 @@ def analysis_graph(scenario, form):
     return rep, graph, violations
 
 
-_REQUIRED = object()
-
-
-def _field(rec, key, kinds=None, default=_REQUIRED):
-    """rec[key], or default when it is absent; with kinds, a value of one of
-    those types (a bool is not a number)."""
-    if not isinstance(rec, dict):
-        raise ScenarioError(f"expected an object, not {rec!r}")
-    if key not in rec:
-        if default is _REQUIRED:
-            raise ScenarioError(f"missing {key!r}")
-        return default
-    v = rec[key]
-    if kinds is not None and (isinstance(v, bool) or not isinstance(v, kinds)):
-        raise ScenarioError(f"{key!r} must be {' or '.join(k.__name__ for k in kinds)}, "
-                            f"not {v!r}")
-    return v
-
-
-def _is_real(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _complex(v):
-    """A complex number written as a real or as [re, im]."""
-    parts = v if isinstance(v, list) and len(v) == 2 else [v, 0]
-    if not all(_is_real(c) for c in parts):
-        raise ScenarioError(f"expected a number or [re, im], not {v!r}")
-    return complex(*parts)
-
-
-def _index(rec, key, tau):
-    v = _field(rec, key, (int,))
-    if not 0 <= v < tau:
-        raise ScenarioError(f"{key!r} must be a coordinate index below {tau}, not {v}")
-    return v
-
-
-def _build_path(rec, tau):
-    """(moving coordinate index, base path) of a path record."""
-    index = _index(rec, "index", tau)
-    kind = rec.get("kind", "circle")
-    if kind == "circle":
-        path = circle_path(_complex(_field(rec, "alpha")),
-                           _field(rec, "turns", (int, float), 1))
-    elif kind == "spiral":
-        path = spiral_path(_complex(_field(rec, "start")), _complex(_field(rec, "end")),
-                           _field(rec, "turns", (int, float), 0))
-    elif kind == "constant":
-        path = constant_path(_complex(_field(rec, "value")))
-    else:
-        raise ScenarioError(f"unknown path kind {kind!r}")
-    return index, path
-
-
-def _build_model(rec):
-    if not isinstance(rec, dict) or not ("lam" in rec or "weights" in rec):
-        raise ScenarioError(f"a model needs 'lam' or 'weights', not {rec!r}")
-    delta = _field(rec, "delta", (int, float), 1.0)
-    if "weights" in rec:
-        weights = _field(rec, "weights", (list,))
-        if not all(_is_real(r) for r in weights):
-            raise ScenarioError(f"'weights' must be numbers, not {weights!r}")
-        return LinearModel.nodal(weights, _field(rec, "split", (int,)), delta=delta)
-    return LinearModel([_complex(l) for l in _field(rec, "lam", (list,))], delta=delta)
-
-
-def _lift_args(blk):
-    """(model, paths, fiber, start) of a lift or drift block."""
-    model = _build_model(_field(blk, "model"))
-    recs = _field(blk, "paths", (list,))
-    paths = dict(_build_path(rec, model.tau) for rec in recs)
-    if len(paths) != len(recs):
-        raise ScenarioError("two paths move the same coordinate")
-    fiber = _index(blk, "fiber", model.tau)
-    if fiber in paths:
-        raise ScenarioError(f"fiber {fiber} is also the index of a moving path")
-    return model, paths, fiber, _complex(_field(blk, "start"))
-
-
-def _grid(rec):
-    nx, ny = _field(rec, "nx", (int,), 20), _field(rec, "ny", (int,), 20)
-    if nx < 2 or ny < 2:
-        raise ScenarioError(f"a grid needs at least 2 points a side, not {nx}x{ny}")
-    x_min, x_max, y_min, y_max = (_field(rec, k, (int, float))
-                                  for k in ("x_min", "x_max", "y_min", "y_max"))
-    x_phase = _field(rec, "x_phase", (int, float), 0.0)
-    y_phase = _field(rec, "y_phase", (int, float), 0.0)
-    out = []
-    for i in range(nx):
-        for j in range(ny):
-            x = (x_min + (x_max - x_min) * (i / (nx - 1))) * cmath.exp(1j * x_phase * i)
-            y = (y_min + (y_max - y_min) * (j / (ny - 1))) * cmath.exp(1j * y_phase * j)
-            out.append((x, y))
-    return out
-
-
 def _holonomy_block(blk, config):
-    """(report record, sweep CSV text or None) of one holonomy block."""
-    kind = _field(blk, "kind", (str,))
+    """(report record, sweep CSV text or None) of one parsed holonomy block."""
+    kind = blk["kind"]
     if kind == "multiplier":
-        m = loop_multiplier(_complex(_field(blk, "lam")),
-                            _field(blk, "turns", (int, float), 1))
+        m = loop_multiplier(blk["lam"], blk["turns"])
         return {"kind": kind, "value": m, "modulus": abs(m)}, None
     if kind == "lift":
-        end = lift_path(*_lift_args(blk), config)
+        end = lift_path(*blk["lift"], config)
         rec = {"kind": kind, "end": end, "modulus": abs(end)}
-        if "closed_form" in blk:
-            rec["closed_form_error"] = abs(end - _complex(blk["closed_form"]))
+        if blk["closed_form"] is not None:
+            rec["closed_form_error"] = abs(end - blk["closed_form"])
         return rec, None
     if kind == "drift":
         return {"kind": kind,
-                "max_drift": nodal_first_integral_drift(*_lift_args(blk), config)}, None
+                "max_drift": nodal_first_integral_drift(*blk["lift"], config)}, None
     if kind == "lemma4":
-        lam, rho, eps = (_field(blk, k, (int, float)) for k in ("lam", "rho", "eps"))
+        lam, rho, eps = blk["lam"], blk["rho"], blk["eps"]
         rec = {"kind": kind, "constant": lemma4_constant(lam, rho, eps)}
-        if blk.get("reach_check"):
-            trials = _field(blk, "trials", (int,), 100)
-            if trials < 1:
-                raise ScenarioError(f"'trials' must be positive, not {trials}")
-            rec["reach"] = lemma4_reach_check(lam, rho, eps, trials=trials, config=config)
+        if blk["trials"] is not None:
+            rec["reach"] = lemma4_reach_check(lam, rho, eps, trials=blk["trials"],
+                                              config=config)
         return rec, None
-    if kind == "probe":
-        model = _build_model(_field(blk, "model"))
-        res = saturation_probe(model, _field(blk, "alpha", (int, float)),
-                               _field(blk, "eps", (int, float)),
-                               _grid(_field(blk, "grid")), config)
-        return ({"kind": kind, "fraction": res["fraction"],
-                 "unreached_count": len(res["unreached"])}, sweep_csv(res["records"]))
-    raise ScenarioError(f"unknown holonomy block {kind!r}")
+    res = saturation_probe(blk["model"], blk["alpha"], blk["eps"], blk["grid"], config)
+    return ({"kind": kind, "fraction": res["fraction"],
+             "unreached_count": len(res["unreached"])}, sweep_csv(res["records"]))
 
 
 def analysis_holonomy(scenario):
-    spec = scenario.get("holonomy", {})
-    try:
-        blocks = _field(spec, "blocks", (list,), [])
-        cfg_rec = _field(spec, "config", (dict,), {})
-        config = NumericConfig(step=_field(cfg_rec, "step", (int, float), 5e-3),
-                               tol=_field(cfg_rec, "tol", (int, float), 1e-9),
-                               max_length=_field(cfg_rec, "max_length", (int, float), 2000.0))
-    except (ScenarioError, BadParameters) as e:
-        raise ScenarioError(f"holonomy: {e}") from None
+    config, blocks = check(scenario).holonomy
     results = []
     csv_blobs = []
     for i, blk in enumerate(blocks):
         try:
-            name = _field(blk, "name", (str,), f"probe{len(csv_blobs)}")
-            if name in ("", ".", "..") or os.path.basename(name) != name:
-                raise ScenarioError(f"a block name must be a plain file name, not {name!r}")
             rec, csv = _holonomy_block(blk, config)
         except FoliationLabError as e:
             raise ScenarioError(f"holonomy.blocks[{i}]: {e}") from e
         results.append(rec)
         if csv is not None:
-            csv_blobs.append((name, csv))
+            csv_blobs.append((blk["name"], csv))
     return {"blocks": results}, csv_blobs
 
 
@@ -405,46 +211,35 @@ def analysis_holonomy(scenario):
 # ---------------------------------------------------------------------------
 
 def run_scenario(scenario, analyses=None):
-    requested = analyses or scenario.get("analyses", [])
+    sc = check(scenario, analyses)
     report = {"tool_version": __version__,
-              "scenario": scenario.get("name", "unnamed"),
-              "scenario_hash": scenario_hash(scenario),
+              "scenario": sc.name,
+              "scenario_hash": scenario_hash(sc.doc),
               "analyses": {}}
     artifacts = {}
     violations = []
-    form = parse_form(scenario) if "form" in scenario else None
-    for name in requested:
+    for name in sc.analyses:
         if name == "classify":
-            report["analyses"][name] = analysis_classify(scenario, form)
+            report["analyses"][name] = analysis_classify(sc, sc.form)
         elif name == "dicritical":
-            report["analyses"][name] = analysis_dicritical(scenario, form)
+            report["analyses"][name] = analysis_dicritical(sc, sc.form)
         elif name == "reduce2d":
-            rep, tree = analysis_reduce2d(scenario, form)
+            rep, tree = analysis_reduce2d(sc, sc.form)
             report["analyses"][name] = rep
             artifacts["reduction.dot"] = tree.to_dot()
         elif name == "graph":
-            rep, graph, v = analysis_graph(scenario, form)
+            rep, graph, v = analysis_graph(sc, sc.form)
             report["analyses"][name] = rep
             violations.extend(v)
             artifacts["graph.dot"] = graph.to_dot()
-        elif name == "holonomy":
-            rep, blobs = analysis_holonomy(scenario)
+        else:  # "holonomy", the one name left that check() admits
+            rep, blobs = analysis_holonomy(sc)
             report["analyses"][name] = rep
             for bname, blob in blobs:
                 artifacts[f"{bname}.csv"] = blob
-        else:
-            raise ScenarioError(f"unknown analysis {name!r}")
     report["violations"] = violations
     exit_code = 2 if violations else 0
     return report, exit_code, artifacts
-
-
-def _load_scenario(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ScenarioError(f"{path}: line {e.lineno} column {e.colno}: {e.msg}")
 
 
 def corpus_files():
@@ -465,13 +260,13 @@ def _dig(report, dotted):
 def expectation_met(scenario, report, code):
     """Does a run match the scenario's "expect" block: the exit code and every
     dotted path under "contains"?"""
-    expect = scenario.get("expect", {})
-    ok = expect.get("exit_code", 0) == code
+    exit_code, contains = expectations(scenario)
+    ok = exit_code == code
     jrep = _jsonable(report)
-    for dotted, want in expect.get("contains", {}).items():
+    for dotted, want in contains.items():
         try:
             got = _dig(jrep, dotted)
-        except (KeyError, IndexError, TypeError):
+        except (KeyError, IndexError, TypeError, ValueError):
             got = None
         if got != want:
             ok = False
@@ -540,7 +335,7 @@ def main(argv=None):
             _, code, text = run_corpus(args.filter, args.out)
             sys.stdout.write(text)
             return code
-        scenario = _load_scenario(args.scenario)
+        scenario = load(args.scenario)
         if args.max_depth is not None:
             scenario["max_depth"] = args.max_depth
         report, code, artifacts = run_scenario(scenario, args.force_analyses)

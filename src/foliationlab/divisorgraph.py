@@ -145,29 +145,8 @@ class DivisorGraph:
     def nodal_component_candidates(self):
         nodal_curves = [cid for cid, c in self.curves.items()
                         if c.get("generically_nodal")]
-        adj = {c: set() for c in nodal_curves}
-        for pid, p in self.points.items():
-            members = [c for c in p.get("curves", []) if c in adj]
-            for a in members:
-                for b in members:
-                    if a != b:
-                        adj[a].add(b)
-        seen = set()
-        out = []
-        for c in nodal_curves:
-            if c in seen:
-                continue
-            comp = set()
-            q = deque([c])
-            while q:
-                x = q.popleft()
-                if x in comp:
-                    continue
-                comp.add(x)
-                q.extend(adj[x] - comp)
-            seen |= comp
-            out.append(comp)
-        return out
+        return _connected_groups(nodal_curves,
+                                 [p.get("curves", []) for p in self.points.values()])
 
     def nodal_components(self):
         """Accepted nodal components (every incident corner point checks out)."""
@@ -212,35 +191,10 @@ class DivisorGraph:
     def separatrix_components(self):
         if self.fiber is None:
             raise MissingFiberData("separatrix analysis requires fiber data")
-        strace = self.s_trace_curves()
-        adj = {c: set() for c in strace}
-        for pid, p in self.points.items():
-            members = [c for c in p.get("curves", []) if c in adj]
-            for a in members:
-                for b in members:
-                    if a != b:
-                        adj[a].add(b)
-        for entry in self.fiber:
-            members = [c for c in entry.get("curves", []) if c in adj]
-            for a in members:
-                for b in members:
-                    if a != b:
-                        adj[a].add(b)
-        seen = set()
-        comps = []
-        for c in strace:
-            if c in seen:
-                continue
-            grp = set()
-            q = deque([c])
-            while q:
-                x = q.popleft()
-                if x in grp:
-                    continue
-                grp.add(x)
-                q.extend(adj[x] - grp)
-            seen |= grp
-            comps.append(grp)
+        comps = _connected_groups(
+            self.s_trace_curves(),
+            [p.get("curves", []) for p in self.points.values()]
+            + [entry.get("curves", []) for entry in self.fiber])
         compact_dic = {cid for cid in self.dicritical_components()
                        if self.components[cid].get("compact")}
         out = []
@@ -412,6 +366,31 @@ class DivisorGraph:
                 lines.append(f'  "{pid}" -- "{cu}";')
         lines.append("}")
         return "\n".join(lines)
+
+
+def _connected_groups(nodes, links):
+    """The connected groups of `nodes`, in the order of their first node, where
+    the nodes in one list of `links` are joined (other members are ignored)."""
+    adj = {c: set() for c in nodes}
+    for members in links:
+        members = [c for c in members if c in adj]
+        for a in members:
+            adj[a].update(members)
+    seen = set()
+    out = []
+    for c in nodes:
+        if c in seen:
+            continue
+        grp = set()
+        todo = [c]
+        while todo:
+            x = todo.pop()
+            if x not in grp:
+                grp.add(x)
+                todo.extend(adj[x] - grp)
+        seen |= grp
+        out.append(grp)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .errors import DivisionByZero, FieldParseError, ZeroEntry
 
 
+@lru_cache(maxsize=None)  # every FieldElement asks; trial division runs once per d
 def is_square_free(d: int) -> bool:
     if d < 0:
         return False

@@ -58,6 +58,8 @@ class LinearModel:
         """log of  prod_{i<k} |x_i|^{r_i} / prod_{i>=k} |x_i|^{r_i}."""
         if not self.is_nodal:
             raise BadParameters("first integral is defined for nodal models")
+        if any(v == 0 for v in point):
+            raise LeftDomain("the first integral is undefined on the divisor")
         out = 0.0
         for i, r in enumerate(self.weights):
             s = 1.0 if i < self.split else -1.0
@@ -207,7 +209,10 @@ def _lift_steps(model, paths, fiber, start, config):
             k3 = slope(xm, wm, u + h * k2 / 2)
             k4 = slope(xs, ws, u + h * k3)
             u += h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        outside = math.exp(u.real) > bound
+        try:
+            outside = math.exp(u.real) > bound
+        except OverflowError:  # so far out that e^u is no float
+            outside = True
         for v in xs:
             outside = outside or abs(v) > bound
         if outside:
@@ -235,7 +240,10 @@ def loop_multiplier(lam, turns=1):
     lam = complex(lam)
     if lam == 0:
         raise ZeroLambda("loop multiplier requires a nonzero residue")
-    return cmath.exp(-2j * math.pi * turns / lam)
+    try:
+        return cmath.exp(-2j * math.pi * turns / lam)
+    except OverflowError:
+        raise BadParameters(f"the multiplier of {turns} turns overflows a float") from None
 
 
 def nodal_first_integral_drift(model, paths, fiber, start, config=DEFAULT_CONFIG):
@@ -332,7 +340,10 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG,
         ok = False
         for k in _turn_candidates(ratio, alpha, xg, yg, eps, max_turns):
             shift = (cmath.log(xg) - math.log(alpha)) + 2j * math.pi * k
-            y_start = yg * cmath.exp(ratio * shift)
+            try:
+                y_start = yg * cmath.exp(ratio * shift)
+            except OverflowError:  # a start far beyond eps
+                continue
             if abs(y_start) > eps or abs(y_start) == 0:
                 continue
             path = {base: spiral_path(alpha, xg, turns=k)}
