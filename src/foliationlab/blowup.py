@@ -1,8 +1,9 @@
 """Coordinate blow-ups of germs: point and axis centers, chart atlases.
 
 Charts are indexed by their path of direction labels from the root germ.
-A point blow-up in direction j uses x_j = x'_j, x_i = (x'_i + mu_i) x'_j;
-an axis blow-up {x_a = x_b = 0} only mixes the two center variables.
+A point blow-up in direction j uses x_j = x'_j, x_i = x'_i x'_j; an axis
+blow-up {x_a = x_b = 0} only mixes the two center variables.  Only the root
+form is saturated: chart maps and shifts keep a form saturated.
 """
 from __future__ import annotations
 
@@ -91,29 +92,20 @@ def contraction_test(form: OneForm, center: CenterSpec) -> bool:
     return total.is_zero()
 
 
-def chart_substitution(nvars, d, center: CenterSpec, direction, translation=None):
+def chart_substitution(nvars, d, center: CenterSpec, direction):
     """Old coordinates as polynomials in chart coordinates.
 
-    direction is the variable whose chart is taken; translation maps other
-    participating variables to constants mu (off-origin chart points).
+    direction is the variable whose chart is taken: it stays, and every other
+    variable of the center is multiplied by it.
     """
-    translation = translation or {}
     vs = center.variables(nvars)
     if direction not in vs:
         raise DimensionError("chart direction must participate in the center")
     xj = Polynomial.var(direction, nvars, d)
     subst = []
     for i in range(nvars):
-        if i == direction:
-            subst.append(xj)
-        elif i in vs:
-            xi = Polynomial.var(i, nvars, d)
-            mu = translation.get(i)
-            if mu is not None and not mu.is_zero():
-                xi = xi + Polynomial.const(mu, nvars, d)
-            subst.append(xi * xj)
-        else:
-            subst.append(Polynomial.var(i, nvars, d))
+        xi = Polynomial.var(i, nvars, d)
+        subst.append(xi * xj if i in vs and i != direction else xi)
     return subst
 
 
@@ -139,14 +131,18 @@ def pull_back(form: OneForm, subst, exceptional_var):
 
 
 def transform_form(form: OneForm, subst, exceptional_var):
-    """Pull back a plain form through a substitution and saturate.
+    """Pull back a plain form through a chart and divide by x_e^r, r the
+    least exceptional order (valid for any form).  Returns (form, r).
 
-    Returns (saturated form, r) where r is the power of the exceptional
-    variable removed together with any other common factor.
+    A chart map is an isomorphism off {x_e = 0}, so x_e^r is the only common
+    factor of the pullback of a saturated form: the result is its saturation.
     """
-    pulled, _ = pull_back(form, subst, exceptional_var)
-    sat, removed = saturate(pulled)
-    return sat, removed.degree_in(exceptional_var)
+    pulled, r = pull_back(form, subst, exceptional_var)
+    if sum(not c.is_zero() for c in pulled.coeffs) == 1:
+        return saturate(pulled)[0], r  # which divides a lone coefficient out whole
+    exps = tuple(r if k == exceptional_var else 0 for k in range(form.nvars))
+    xr = Polynomial(form.nvars, form.d, {exps: FieldElement(form.d, 1)})
+    return OneForm([c.exact_div(xr) for c in pulled.coeffs]), r
 
 
 def _dicritical_report(form: OneForm, center: CenterSpec, orders):
@@ -178,30 +174,25 @@ def _dicritical_report(form: OneForm, center: CenterSpec, orders):
             "exceptional_orders": dict(zip([VARNAMES[j] for j in vs], orders))}
 
 
-def detect_dicritical(form: OneForm, center: CenterSpec):
-    """Dual-route dicriticality decision for one blow-up of the center."""
-    orders = [pull_back(form, chart_substitution(form.nvars, form.d, center, j), j)[1]
-              for j in center.variables(form.nvars)]
-    return _dicritical_report(form, center, orders)
+def blow_up_germ(form: OneForm, center: CenterSpec):
+    """Blow up an origin-centered center of a saturated germ, chart by chart.
 
-
-def blow_up_germ(form: OneForm, center: CenterSpec, translations=None):
-    """Blow up an origin-centered center of a germ, chart by chart.
-
-    The standard charts (mu = 0) come first, in the order of the center's
-    variables, then one chart per (direction, {var: mu}) translation.  Every
-    chart is pulled back once: the standard charts' exceptional orders decide
-    the divisibility route of the dicriticality check, and each pullback is
-    then saturated.  Returns (the detect_dicritical report,
-    [(direction, translation or None, saturated chart form)]).
+    The input must be saturated: each chart form is then saturated too (see
+    transform_form), so no chart needs a gcd.  The charts come in the order
+    of the center's variables, and their exceptional orders decide the
+    divisibility route of the dicriticality check.  Returns (the
+    dicriticality report, [(direction, chart form)]).
     """
     vs = center.variables(form.nvars)
-    jobs = [(j, None) for j in vs] + list(translations or [])
-    pulled = [pull_back(form, chart_substitution(form.nvars, form.d, center, j,
-                                                 translation=mu), j)
-              for j, mu in jobs]
-    info = _dicritical_report(form, center, [order for _, order in pulled[:len(vs)]])
-    return info, [(j, mu, saturate(p)[0]) for (j, mu), (p, _) in zip(jobs, pulled)]
+    charts = [transform_form(form, chart_substitution(form.nvars, form.d, center, j), j)
+              for j in vs]
+    info = _dicritical_report(form, center, [r for _, r in charts])
+    return info, [(j, chart) for j, (chart, _) in zip(vs, charts)]
+
+
+def detect_dicritical(form: OneForm, center: CenterSpec):
+    """Dual-route dicriticality decision for one blow-up of the center."""
+    return blow_up_germ(form, center)[0]
 
 
 def center_is_invariant(form: OneForm, center: CenterSpec) -> bool:
@@ -251,24 +242,19 @@ class BlowupAtlas:
         blown = {tuple(s["chart"]) for s in self.steps}
         return [c for p, c in sorted(self.charts.items()) if p not in blown]
 
-    def blow_up(self, path, center: CenterSpec, translations=None, check_adapted=True):
-        """Blow up the origin-centered center inside the chart at `path`.
-
-        translations: list of (direction, {var: mu}) for extra off-origin
-        charts; the standard charts (mu = 0) are always produced.
-        """
+    def blow_up(self, path, center: CenterSpec):
+        """Blow up the center inside the chart at `path`; a point center off
+        the origin is first shifted to it."""
         chart = self.chart(tuple(path))
         form = chart.form
         if center.kind == "point" and any(not c.is_zero() for c in center.point):
             form = OneForm([c.shift(center.point) for c in form.plain_coefficients()])
-            form, _ = saturate(form)
-        if check_adapted:
-            if not center_is_invariant(form, center):
-                raise CenterNotInvariant(f"center {center.describe()} is not invariant")
-            if not center_in_singular_locus(form, center):
-                raise CenterNotSingularAdapted(
-                    f"center {center.describe()} is not inside the singular locus")
-        info, charts = blow_up_germ(form, center, translations)
+        if not center_is_invariant(form, center):
+            raise CenterNotInvariant(f"center {center.describe()} is not invariant")
+        if not center_in_singular_locus(form, center):
+            raise CenterNotSingularAdapted(
+                f"center {center.describe()} is not inside the singular locus")
+        info, charts = blow_up_germ(form, center)
         comp_id = f"E{self._next_component}"
         self._next_component += 1
         comp = Component(comp_id, center.kind, invariant=not info["dicritical"], nvars=self.nvars)
@@ -280,20 +266,13 @@ class BlowupAtlas:
                 old = self.components[cid]
                 if old.self_intersection is not None:
                     old.self_intersection -= 1
-        vs = center.variables(self.nvars)
         children = []
-        for j, mu, newform in charts:
+        for j, newform in charts:
             divisor = {j: comp_id}
             for v, cid in chart.divisor.items():
-                if v == j:
-                    continue  # strict transform sits in the other charts
-                if v in vs and mu and v in mu and not mu[v].is_zero():
-                    continue  # translated away from the old hyperplane
-                divisor[v] = cid
-            label = VARNAMES[j]
-            if mu:
-                label += "@" + ",".join(f"{VARNAMES[v]}={m}" for v, m in sorted(mu.items()))
-            child = Chart(chart.path + (label,), newform, divisor, exceptional_var=j)
+                if v != j:  # the strict transform sits in the other charts
+                    divisor[v] = cid
+            child = Chart(chart.path + (VARNAMES[j],), newform, divisor, exceptional_var=j)
             self.charts[child.path] = child
             children.append(child)
         self.steps.append({"chart": chart.path, "center": center.describe(),

@@ -464,7 +464,9 @@ class _Tokens:
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
 
     def next(self):
-        t = self.peek()
+        if self.pos == len(self.toks):
+            raise FieldParseError("unexpected end of input")
+        t = self.toks[self.pos]
         self.pos += 1
         return t
 

@@ -101,7 +101,7 @@ class ReductionTree:
         for p in order:
             if not p:
                 continue
-            names[p] = "n" + "_".join(s.replace("@", "_").replace(":", "_").replace("=", "_")
+            names[p] = "n" + "_".join(s.replace(":", "_").replace("=", "_")
                                       .replace("-", "m").replace("/", "_") for s in p)
         drawn = set()
         for l in self.leaves:
@@ -171,16 +171,15 @@ def exceptional_points(form: OneForm):
     Returns (dicritical, points).  points holds (exc, t, germ): first the
     singular points (0, t) of chart x (exc = 0) in the order univariate_roots
     finds them, then the origin of chart y (exc = 1, t = 0) when it is
-    singular.  Each germ is moved to the origin and saturated.
+    singular.  form must be saturated; so is each germ, shifted to the origin.
     """
     info, charts = blow_up_germ(form, CenterSpec.origin(2, form.d))
-    (_, _, chart_x), (_, _, chart_y) = charts
+    (_, chart_x), (_, chart_y) = charts
     zero = FieldElement(form.d, 0)
     roots, leftover = singular_points_on_exceptional(chart_x, 0)
     if leftover:
         raise NonRationalSingularPoint(leftover)
-    points = [(0, t, saturate(OneForm([c.shift([zero, t])
-                                       for c in chart_x.plain_coefficients()]))[0])
+    points = [(0, t, OneForm([c.shift([zero, t]) for c in chart_x.plain_coefficients()]))
               for t, _mult in roots]
     # the second chart only contributes its origin (vertical direction)
     if singular_at_origin(chart_y):

@@ -17,13 +17,19 @@ from typing import NamedTuple
 from .blowup import CenterSpec
 from .divisorgraph import DivisorGraph
 from .errors import BadParameters, FoliationLabError, ScenarioError
+from .field import is_square_free
 from .forms import OneForm
 from .holonomy import LinearModel, NumericConfig, circle_path, constant_path, spiral_path
-from .poly import VARNAMES, parse_element
+from .poly import VARNAMES, parse_element, parse_polynomial
 
 # Largest field discriminant d: the square-free test is trial division up to
 # sqrt(d), which a scenario must not be able to make arbitrarily long.
 MAX_D = 10 ** 6
+
+# Largest probe grid (nx * ny points) and reach check (trials): the grid is
+# built while the document is checked, and every point and trial is lifted.
+MAX_GRID_POINTS = 10 ** 4
+MAX_TRIALS = 10 ** 4
 
 ANALYSES = ("classify", "dicritical", "reduce2d", "graph", "holonomy")
 
@@ -148,6 +154,17 @@ def _strings(rec, key, at, default=()):
     return v
 
 
+def _parse_each(texts, where, parse):
+    """parse(text) for each text; a parse error names where[j]."""
+    out = []
+    for j, text in enumerate(texts):
+        try:
+            out.append(parse(text))
+        except FoliationLabError as e:
+            raise ScenarioError(f"'{where}[{j}]': {e}") from None
+    return out
+
+
 def _finite(doc):
     """Refuse NaN and infinities anywhere in the document."""
     todo = [("", doc)]
@@ -168,9 +185,9 @@ def _finite(doc):
 def parse_form(scenario):
     """The scenario's 1-form.  A malformed field is a ScenarioError naming it:
     'dimension' is an integer from 1 to 3 (default: the number of
-    coefficients), 'd' an integer from 0 to MAX_D (default 0),
-    'form.coefficients' a list of that many strings and 'form.log', when
-    present, a list of that many booleans."""
+    coefficients), 'd' a square-free integer from 0 to MAX_D (default 0),
+    'form.coefficients' a list of that many polynomial strings and
+    'form.log', when present, a list of that many booleans."""
     spec = scenario.get("form")
     if spec is None:
         raise ScenarioError("scenario has no 1-form")
@@ -189,11 +206,14 @@ def parse_form(scenario):
     d = _field(scenario, "d", (int,), 0)
     if d > MAX_D:
         raise ScenarioError(f"'d' must be at most {MAX_D}, not {d}")
+    if not is_square_free(d):
+        raise ScenarioError(f"'d': discriminant {d} is not square-free (or is 1)")
     log = spec.get("log")
     if log is not None and not (isinstance(log, list) and len(log) == nvars
                                 and all(isinstance(b, bool) for b in log)):
         raise ScenarioError(f"'form.log' must be a list of {nvars} booleans, not {log!r}")
-    return OneForm.parse(coeffs, nvars=nvars, d=d, log=log)
+    parsed = _parse_each(coeffs, "form.coefficients", lambda t: parse_polynomial(t, nvars, d))
+    return OneForm(parsed, log=log)
 
 
 def _variables(doc, key, nvars):
@@ -222,13 +242,7 @@ def _probe(rec, d):
             raise ScenarioError(f"'probe.{key}' must be a list of {len(lams)} "
                                 f"non-negative integers, not {w!r}")
         weights.append(w)
-    parsed = []
-    for j, text in enumerate(lams):
-        try:
-            parsed.append(parse_element(text, d))
-        except FoliationLabError as e:
-            raise ScenarioError(f"'probe.lams[{j}]': {e}") from None
-    return (parsed, *weights)
+    return (_parse_each(lams, "probe.lams", lambda t: parse_element(t, d)), *weights)
 
 
 def parse_center(record, nvars, d):
@@ -244,7 +258,7 @@ def parse_center(record, nvars, d):
         if not (isinstance(coords, list) and len(coords) == nvars
                 and all(isinstance(c, str) for c in coords)):
             raise ScenarioError(f"point center needs {nvars} 'coords', not {coords!r}")
-        return CenterSpec("point", point=[parse_element(c, d) for c in coords])
+        return CenterSpec("point", point=_parse_each(coords, "coords", lambda t: parse_element(t, d)))
     if kind != "curve":
         raise ScenarioError(f"unknown center kind {kind!r}; expected 'point' or 'curve'")
     axis = record.get("axis")
@@ -393,6 +407,8 @@ def _grid(rec):
     nx, ny = _field(rec, "nx", (int,), 20), _field(rec, "ny", (int,), 20)
     if nx < 2 or ny < 2:
         raise ScenarioError(f"a grid needs at least 2 points a side, not {nx}x{ny}")
+    if nx * ny > MAX_GRID_POINTS:
+        raise ScenarioError(f"a grid has at most {MAX_GRID_POINTS} points, not {nx}x{ny}")
     x_min, x_max, y_min, y_max = (_field(rec, k, (int, float))
                                   for k in ("x_min", "x_max", "y_min", "y_max"))
     x_phase = _field(rec, "x_phase", (int, float), 0.0)
@@ -422,8 +438,8 @@ def _block(blk):
         trials = None
         if blk.get("reach_check"):
             trials = _field(blk, "trials", (int,), 100)
-            if trials < 1:
-                raise ScenarioError(f"'trials' must be positive, not {trials}")
+            if not 1 <= trials <= MAX_TRIALS:
+                raise ScenarioError(f"'trials' must be from 1 to {MAX_TRIALS}, not {trials}")
         return {"kind": kind, "lam": lam, "rho": rho, "eps": eps, "trials": trials}
     if kind == "probe":
         return {"kind": kind, "model": _build_model(_field(blk, "model")),

@@ -119,6 +119,9 @@ BAD_SCRIPTS = {
     "axis_center_without_axis": ([{"center": {"kind": "curve"}}], "script[0]"),
     "point_center_short_coords": ([{"center": {"kind": "point", "coords": ["1", "0"]}}],
                                   "script[0]"),
+    "point_center_unparsable_coord": (
+        [{"center": {"kind": "point", "coords": ["0", "1+", "0"]}}],
+        "script[0]: 'coords[1]': unexpected end of input"),
 }
 
 
@@ -244,6 +247,13 @@ BAD_FORMS = {
                          "'form.log'"),
     "log_not_a_list": ({"form": {"coefficients": ["2", "3", "1"], "log": True}},
                        "'form.log'"),
+    "d_not_square_free": ({"d": 4}, "'d': discriminant 4 is not square-free"),
+    "coefficient_trailing_operator": ({"form": {"coefficients": ["2", "3", "x+"]}},
+                                      "'form.coefficients[2]': unexpected end of input"),
+    "coefficient_open_parenthesis": ({"form": {"coefficients": ["(x", "3", "1"]}},
+                                     "'form.coefficients[0]': unexpected end of input"),
+    "coefficient_exponent_missing": ({"form": {"coefficients": ["2", "x^", "1"]}},
+                                     "'form.coefficients[1]': unexpected end of input"),
 }
 
 

@@ -5,10 +5,8 @@ import random
 
 import pytest
 
-from foliationlab.blowup import (BlowupAtlas, CenterSpec, chart_substitution,
-                                 detect_dicritical, pull_back)
-from foliationlab.field import FieldElement
-from foliationlab.forms import OneForm, saturate
+from foliationlab.blowup import CenterSpec, chart_substitution, detect_dicritical, pull_back
+from foliationlab.forms import OneForm
 from foliationlab.poly import VARNAMES, Polynomial, parse_polynomial
 
 
@@ -85,23 +83,6 @@ def test_standard_charts_match_reference(name, cases, make_center):
             orders[VARNAMES[j]] = min(c.order([j]) for c in reference if not c.is_zero())
             assert order == orders[VARNAMES[j]]
         assert detect_dicritical(form, center)["exceptional_orders"] == orders
-
-
-def test_translated_chart_matches_reference():
-    for form in forms([CUSP], 2, 5, log=False):
-        one = FieldElement(form.d, 1)
-        center = CenterSpec.origin(2, form.d)
-        subst = chart_substitution(2, form.d, center, 0, translation={1: one})
-        assert pull_back(form, subst, 0)[0].plain_coefficients() == naive_pull_back(form, subst)
-        atlas = BlowupAtlas(form)
-        rep = atlas.blow_up((), center, translations=[(0, {1: one})], check_adapted=False)
-        # the dicriticality report reads the standard charts only
-        assert {k: rep[k] for k in ("dicritical", "multiplicity", "exceptional_orders")} \
-            == detect_dicritical(atlas.root.form, center)
-        children = rep["children"]
-        assert [c.path for c in children] == [("x",), ("y",), ("x@y=1",)]
-        reference = naive_pull_back(atlas.root.form, subst)
-        assert children[2].form == saturate(OneForm(reference))[0]
 
 
 def test_each_coefficient_is_substituted_once(monkeypatch):

@@ -22,6 +22,7 @@ from foliationlab.divisorgraph import DivisorGraph
 from foliationlab.field import is_square_free
 
 CORPUS = {name: json.loads(f.read_text()) for name, f in corpus_files()}
+PROBE_GRID = CORPUS["holonomy_suite.json"]["holonomy"]["blocks"][7]["grid"]
 NAN, INF = float("nan"), float("inf")
 DROP = object()
 
@@ -61,6 +62,11 @@ MALFORMED = {
     "infinite_lam": ("holonomy_suite.json", ["holonomy", "blocks", 7, "model", "lam", 0], INF,
                      "'holonomy.blocks[7].model.lam[0]'"),
     "huge_discriminant": ("saddle_node.json", ["d"], 100000000000031, "'d'"),
+    "huge_probe_grid": ("holonomy_suite.json", ["holonomy", "blocks", 7, "grid"],
+                        {**PROBE_GRID, "nx": 10 ** 4, "ny": 10 ** 4},
+                        "holonomy.blocks[7]: a grid has at most"),
+    "huge_reach_check": ("holonomy_suite.json", ["holonomy", "blocks", 6, "trials"], 10 ** 7,
+                         "holonomy.blocks[6]: 'trials' must be from 1 to 10000"),
 }
 # file contents that are no scenario: (bytes, or None for no file, or "dir")
 RAW = {
