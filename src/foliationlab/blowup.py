@@ -7,8 +7,8 @@ form is saturated: chart maps and shifts keep a form saturated.
 """
 from __future__ import annotations
 
-from .errors import (CenterNotInvariant, CenterNotSingularAdapted,
-                     DicriticalRoutesDisagree, DimensionError, ScriptChartMissing)
+from .errors import (CenterNotInvariant, CenterNotSingularAdapted, ChartAlreadyBlownUp,
+                     DicriticalRoutesDisagree, DimensionError, ScriptChartMissing, ZeroForm)
 from .field import FieldElement
 from .forms import OneForm, invariant_axis, log_coefficient, saturate, singular_at_origin
 from .poly import Polynomial, VARNAMES
@@ -49,12 +49,9 @@ class CenterSpec:
 class Component:
     """An exceptional divisor component created by one blow-up."""
 
-    def __init__(self, comp_id, center_kind, invariant, nvars):
-        self.id = comp_id
-        self.center_kind = center_kind
-        self.compact = center_kind == "point"
+    def __init__(self, compact, invariant):
+        self.compact = compact
         self.invariant = invariant
-        self.self_intersection = -1 if (center_kind == "point" and nvars == 2) else None
 
 
 class Chart:
@@ -73,6 +70,8 @@ def center_multiplicity(form: OneForm, center: CenterSpec) -> int:
     """Minimal vanishing order of the plain coefficients along the center."""
     vs = center.variables(form.nvars)
     orders = [c.order(vs) for c in form.plain_coefficients() if not c.is_zero()]
+    if not orders:
+        raise ZeroForm("the zero form has no multiplicity")
     return min(orders)
 
 
@@ -223,14 +222,10 @@ class BlowupAtlas:
     """A tree of charts over a root germ together with its divisor components."""
 
     def __init__(self, form: OneForm):
-        sat, _ = saturate(form)
         self.d = form.d
-        self.nvars = form.nvars
-        self.root = Chart(path=(), form=sat, divisor={})
-        self.charts = {(): self.root}
+        self.charts = {(): Chart(path=(), form=saturate(form)[0], divisor={})}
         self.components = {}
-        self.steps = []
-        self._next_component = 1
+        self.blown = set()  # paths of the charts already blown up
 
     def chart(self, path):
         path = tuple(path)
@@ -239,46 +234,40 @@ class BlowupAtlas:
         return self.charts[path]
 
     def leaf_charts(self):
-        blown = {tuple(s["chart"]) for s in self.steps}
-        return [c for p, c in sorted(self.charts.items()) if p not in blown]
+        return [c for p, c in sorted(self.charts.items()) if p not in self.blown]
 
     def blow_up(self, path, center: CenterSpec):
         """Blow up the center inside the chart at `path`; a point center off
-        the origin is first shifted to it."""
+        the origin is first shifted to it, and the children keep only the
+        components through that point.  Each chart is blown up at most once."""
         chart = self.chart(tuple(path))
+        if chart.path in self.blown:
+            raise ChartAlreadyBlownUp(f"chart {chart.path} is already blown up")
         form = chart.form
+        through = chart.divisor
         if center.kind == "point" and any(not c.is_zero() for c in center.point):
             form = OneForm([c.shift(center.point) for c in form.plain_coefficients()])
+            through = {v: cid for v, cid in through.items() if center.point[v].is_zero()}
         if not center_is_invariant(form, center):
             raise CenterNotInvariant(f"center {center.describe()} is not invariant")
         if not center_in_singular_locus(form, center):
             raise CenterNotSingularAdapted(
                 f"center {center.describe()} is not inside the singular locus")
         info, charts = blow_up_germ(form, center)
-        comp_id = f"E{self._next_component}"
-        self._next_component += 1
-        comp = Component(comp_id, center.kind, invariant=not info["dicritical"], nvars=self.nvars)
-        self.components[comp_id] = comp
-        # a point blow-up decrements the self-intersection of every 2D
-        # exceptional component through the blown point
-        if self.nvars == 2 and center.kind == "point":
-            for v, cid in chart.divisor.items():
-                old = self.components[cid]
-                if old.self_intersection is not None:
-                    old.self_intersection -= 1
+        comp_id = f"E{len(self.components) + 1}"
+        self.components[comp_id] = Component(compact=center.kind == "point",
+                                             invariant=not info["dicritical"])
+        self.blown.add(chart.path)
         children = []
         for j, newform in charts:
             divisor = {j: comp_id}
-            for v, cid in chart.divisor.items():
+            for v, cid in through.items():
                 if v != j:  # the strict transform sits in the other charts
                     divisor[v] = cid
             child = Chart(chart.path + (VARNAMES[j],), newform, divisor, exceptional_var=j)
             self.charts[child.path] = child
             children.append(child)
-        self.steps.append({"chart": chart.path, "center": center.describe(),
-                           "component": comp_id, "dicritical": info["dicritical"],
-                           "multiplicity": info["multiplicity"]})
-        return {"component": comp, "children": children, **info}
+        return {"children": children, **info}
 
     def exceptional_residue(self, chart_path):
         """Residue of the exceptional hyperplane in a chart, when invariant."""

@@ -25,6 +25,7 @@ from .classify import (classify_point, degree_identity_check, monomial_probe,
 from .divisorgraph import DivisorGraph, from_atlas
 from .errors import FoliationLabError, InvalidGraph, ScenarioError
 from .field import FieldElement
+from .forms import saturate
 from .holonomy import (lemma4_constant, lemma4_reach_check, lift_path, loop_multiplier,
                        nodal_first_integral_drift, saturation_probe, sweep_csv)
 from .reduce2d import first_blowup_index_sum, reduce
@@ -86,8 +87,8 @@ def analysis_classify(scenario, form):
 
 
 def analysis_dicritical(scenario, form):
-    center = CenterSpec.origin(form.nvars, form.d)
-    rep = dict(detect_dicritical(form, center))
+    form = saturate(form)[0]
+    rep = dict(detect_dicritical(form, CenterSpec.origin(form.nvars, form.d)))
     if rep["dicritical"] and form.nvars == 3:
         w = restrict_to_exceptional(form)
         rep["restricted_degree"] = w.degree
@@ -137,8 +138,11 @@ def analysis_graph(scenario, form):
         graph = sc.graph
     else:
         atlas = BlowupAtlas(form)
-        for path, center in sc.script:
-            atlas.blow_up(path, center)
+        for i, (path, center) in enumerate(sc.script):
+            try:
+                atlas.blow_up(path, center)
+            except FoliationLabError as e:
+                raise ScenarioError(f"script[{i}]: {e}") from e
         graph = from_atlas(atlas)
     graph.flags.update(sc.flags)
     rep = {"provenance": graph.provenance, "graph": graph.to_json_dict()}

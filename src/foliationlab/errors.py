@@ -51,6 +51,10 @@ class ScriptChartMissing(FoliationLabError):
     pass
 
 
+class ChartAlreadyBlownUp(FoliationLabError):
+    pass
+
+
 class NonRationalSingularPoint(FoliationLabError):
     def __init__(self, factor):
         self.factor = factor

@@ -99,25 +99,17 @@ class FieldElement:
         return bool(self.br or self.bi)
 
     # -- helpers ------------------------------------------------------
-    def _with_d(self, d):
-        if self.d == d:
-            return self
-        if not self.has_sqrt_part():
-            return FieldElement(d, self.ar, self.ai)
-        raise FieldParseError(f"cannot reinterpret element of Q(i,sqrt({self.d})) in Q(i,sqrt({d}))")
-
     def _pair(self, other):
+        """(self, other as an element of the same field).  (None, None) for
+        any other type, so Python tries its reflected operation (Polynomial's)."""
         if isinstance(other, (int, Fraction)):
-            other = FieldElement(self.d, other)
+            return self, FieldElement(self.d, other)
         if not isinstance(other, FieldElement):
             return None, None
-        if self.d == other.d:
-            return self, other
-        if not other.has_sqrt_part():
-            return self, other._with_d(self.d)
-        if not self.has_sqrt_part():
-            return self._with_d(other.d), other
-        raise FieldParseError("mixing elements of different quadratic extensions")
+        if self.d != other.d:
+            raise FieldParseError(f"mixing elements of Q(i,sqrt({self.d})) and "
+                                  f"Q(i,sqrt({other.d}))")
+        return self, other
 
     # -- arithmetic ---------------------------------------------------
     def __add__(self, other):
@@ -408,17 +400,15 @@ def _scale_to_integers(v):
     return [x // g for x in ints] if g else ints
 
 
-def nonresonant(lams, require_nonzero=True):
+def nonresonant(lams):
     """Decide Definition-style non-resonance of a tuple of field elements.
 
     Returns ("nonresonant", None) or ("resonant", m) where m is a nonzero
     tuple of non-negative integers with sum(m_i * lam_i) = 0.
     """
     tau = len(lams)
-    if require_nonzero:
-        for l in lams:
-            if l.is_zero():
-                raise ZeroEntry("resonance test requires nonzero entries")
+    if any(l.is_zero() for l in lams):
+        raise ZeroEntry("resonance test requires nonzero entries")
     cols = [l.basis_coordinates() for l in lams]
     # enumerate supports by increasing size; tau <= 3 in practice
     supports = []

@@ -22,8 +22,7 @@ class LinearModel:
     k with lam_i = r_i for i < k and lam_i = -r_i for i >= k.
     """
 
-    def __init__(self, lam, delta=1.0, perturbations=None, rho=None,
-                 weights=None, split=None):
+    def __init__(self, lam, delta=1.0, perturbations=None, weights=None, split=None):
         self.lam = tuple(complex(l) for l in lam)
         if any(l == 0 for l in self.lam):
             raise ZeroLambda("model residues must be nonzero")
@@ -32,7 +31,6 @@ class LinearModel:
         if not self.delta > 0:
             raise BadParameters("the polydisc radius must be positive")
         self.perturbations = perturbations or (None,) * self.tau
-        self.rho = rho
         self.weights = tuple(float(r) for r in weights) if weights else None
         self.split = split
         if self.weights is not None:
@@ -280,17 +278,18 @@ def lemma4_constant(lam, rho, eps):
     return eps * math.exp(-2 * ((math.pi + 1) * rho + lam) / (rho * rho))
 
 
-def lemma4_reach_check(lam, rho, eps, alpha=0.5, delta=1.0, trials=100, seed=7,
-                       config=DEFAULT_CONFIG):
+def lemma4_reach_check(lam, rho, eps, trials=100, config=DEFAULT_CONFIG):
     """Empirical companion to lemma4_constant on the model lam dx/x + dy/y.
 
     Random starts (alpha', beta') with |beta'| < c are driven to the
-    transversal {x = alpha, |y| < eps} by an angular then a radial path;
-    returns the fraction that arrive without exiting the polydisc.
+    transversal {x = alpha, |y| < eps}, alpha = 1/2, by an angular then a
+    radial path; returns the fraction that arrive without exiting the unit
+    polydisc.  The starts come from a generator seeded with 7.
     """
     c = lemma4_constant(lam, rho, eps)
-    model = LinearModel([lam, 1.0], delta=delta)
-    rng = random.Random(seed)
+    alpha = 0.5
+    model = LinearModel([lam, 1.0])
+    rng = random.Random(7)
     reached = 0
     for _ in range(trials):
         ra = alpha * (0.2 + 0.8 * rng.random())
@@ -315,8 +314,7 @@ def lemma4_reach_check(lam, rho, eps, alpha=0.5, delta=1.0, trials=100, seed=7,
 # saturation probe
 # ---------------------------------------------------------------------------
 
-def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG,
-                     max_turns=40, fiber=1):
+def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
     """Reachability of grid points from the transversal {x = alpha, |y| <= eps}.
 
     For each grid point (x_g, y_g) the probe solves for a start value on the
@@ -330,15 +328,14 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG,
         raise BadParameters("the probe drives two-variable models")
     if not (alpha > 0 and eps > 0):
         raise BadParameters("the probe needs a positive alpha and eps")
-    base = 1 - fiber
-    ratio = model.lam[base] / model.lam[fiber]
+    ratio = model.lam[0] / model.lam[1]
     records = []
     reached = 0
     for (xg, yg) in grid:
         if xg == 0 or yg == 0:
             raise LeftDomain("grid points must avoid the divisor")
         ok = False
-        for k in _turn_candidates(ratio, alpha, xg, yg, eps, max_turns):
+        for k in _turn_candidates(ratio, alpha, xg, yg, eps):
             shift = (cmath.log(xg) - math.log(alpha)) + 2j * math.pi * k
             try:
                 y_start = yg * cmath.exp(ratio * shift)
@@ -346,16 +343,15 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG,
                 continue
             if abs(y_start) > eps or abs(y_start) == 0:
                 continue
-            path = {base: spiral_path(alpha, xg, turns=k)}
+            path = {0: spiral_path(alpha, xg, turns=k)}
             try:
-                y_end = lift_path(model, path, fiber, y_start, config)
+                y_end = lift_path(model, path, 1, y_start, config)
             except (LeftDomain, PathTooLong):
                 continue
             if abs(y_end - yg) <= max(config.tol * 1e3, 1e-6) * max(1.0, abs(yg)):
                 ok = True
                 break
-        fi = model.first_integral_log((xg, yg) if base == 0 else (yg, xg)) \
-            if model.is_nodal else None
+        fi = model.first_integral_log((xg, yg)) if model.is_nodal else None
         records.append({"x": xg, "y": yg, "reached": ok, "first_integral_log": fi})
         reached += ok
     return {"fraction": reached / len(records) if records else 1.0,
@@ -363,7 +359,10 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG,
             "records": records}
 
 
-def _turn_candidates(ratio, alpha, xg, yg, eps, max_turns):
+MAX_TURNS = 40  # the probe tries spirals of at most this many turns
+
+
+def _turn_candidates(ratio, alpha, xg, yg, eps):
     """Winding numbers worth trying, best contraction first."""
     if abs(ratio.imag) < 1e-12:
         return [0]
@@ -373,9 +372,9 @@ def _turn_candidates(ratio, alpha, xg, yg, eps, max_turns):
     target = math.log(eps / 2) - math.log(abs(yg)) - (ratio * base).real
     k0 = int(round(target / (-2 * math.pi * ratio.imag)))
     ks = []
-    for dk in range(max_turns):
+    for dk in range(MAX_TURNS):
         for s in (k0 + dk, k0 - dk):
-            if abs(s) <= max_turns and s not in ks:
+            if abs(s) <= MAX_TURNS and s not in ks:
                 ks.append(s)
     return ks or [0]
 

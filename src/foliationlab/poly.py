@@ -493,9 +493,9 @@ def _check_power(base, n):
         raise FieldParseError(f"power may have {bound} terms, over {MAX_POWER_TERMS}")
 
 
-def parse_polynomial(text, nvars, d, varnames=None) -> Polynomial:
+def parse_polynomial(text, nvars, d) -> Polynomial:
     names = {}
-    for i, n in enumerate((varnames or VARNAMES)[:nvars]):
+    for i, n in enumerate(VARNAMES[:nvars]):
         names[n] = i
         names[f"x{i + 1}"] = i
     toks = _Tokens(text)
@@ -583,7 +583,7 @@ def parse_polynomial(text, nvars, d, varnames=None) -> Polynomial:
 
 
 def parse_element(text, d) -> FieldElement:
-    p = parse_polynomial(text, 1, d, varnames=("x",))
+    p = parse_polynomial(text, 1, d)
     if not p.is_constant():
         raise FieldParseError("expected a constant expression")
     return p.constant_term()

@@ -40,7 +40,6 @@ class ReductionTree:
     leaves: list = dfield(default_factory=list)
     components: dict = dfield(default_factory=dict)  # id -> {"self_intersection", "invariant"}
     blowups: int = 0
-    steps: list = dfield(default_factory=list)
 
     def is_generalized_curve(self) -> bool:
         """No saddle-node appears in the reduction."""
@@ -250,7 +249,6 @@ def _reduce_node(form, axes, path, tree, counter, max_depth):
     for cid in set(axes.values()):
         tree.components[cid]["self_intersection"] -= 1
     tree.components[comp_id] = {"self_intersection": -1, "invariant": not dicritical}
-    tree.steps.append({"path": path, "component": comp_id, "dicritical": dicritical})
     # chart x points by parameter, then the chart y origin: this visiting
     # order fixes the leaf order and the component ids
     for exc, t, germ in sorted(points, key=lambda p: (p[0], str(p[1]))):

@@ -9,7 +9,8 @@ import pytest
 from foliationlab.blowup import (BlowupAtlas, CenterSpec, center_is_invariant,
                                  center_multiplicity, chart_substitution,
                                  detect_dicritical, transform_form)
-from foliationlab.errors import CenterNotSingularAdapted, DimensionError
+from foliationlab.errors import (CenterNotSingularAdapted, ChartAlreadyBlownUp,
+                                 DimensionError, ZeroForm)
 from foliationlab.field import FieldElement
 from foliationlab.forms import OneForm
 from foliationlab.poly import parse_polynomial
@@ -116,3 +117,37 @@ def test_unadapted_axis_center_is_a_typed_error():
     form = OneForm.parse(["z", "x", "x"], nvars=3, d=0)
     with pytest.raises(CenterNotSingularAdapted, match="not adapted"):
         BlowupAtlas(form).blow_up((), center)
+
+
+def _four_lines_after_two_blowups(point):
+    """d(x y (x-1) (y-1)) blown up at the origin, then at `point` of chart x."""
+    w = OneForm.parse(["y*(y-1)*(2*x-1)", "x*(x-1)*(2*y-1)"], nvars=2, d=0)
+    atlas = BlowupAtlas(w)
+    atlas.blow_up((), CenterSpec.origin(2, 0))
+    atlas.blow_up(("x",), CenterSpec("point", point=[FieldElement(0, c) for c in point]))
+    return atlas
+
+
+def test_chart_off_the_origin_inherits_only_components_through_its_point():
+    # E1 is {x = 0} in chart x, so it misses (1, 1) and passes through (0, 0)
+    atlas = _four_lines_after_two_blowups((1, 1))
+    assert atlas.charts[("x", "x")].divisor == {0: "E2"}
+    assert atlas.charts[("x", "y")].divisor == {1: "E2"}
+    atlas = _four_lines_after_two_blowups((0, 0))
+    assert atlas.charts[("x", "x")].divisor == {0: "E2"}
+    assert atlas.charts[("x", "y")].divisor == {1: "E2", 0: "E1"}
+
+
+def test_a_chart_is_blown_up_at_most_once():
+    atlas = _four_lines_after_two_blowups((1, 1))
+    charts = dict(atlas.charts)
+    with pytest.raises(ChartAlreadyBlownUp, match="already blown up"):
+        atlas.blow_up(("x",), CenterSpec("point", point=[FieldElement(0, 0)] * 2))
+    assert atlas.charts == charts and sorted(atlas.components) == ["E1", "E2"]
+    assert [c.path for c in atlas.leaf_charts()] == [("x", "x"), ("x", "y"), ("y",)]
+
+
+def test_zero_form_has_no_multiplicity():
+    zero = OneForm.parse(["0", "0"], nvars=2, d=0)
+    with pytest.raises(ZeroForm):
+        center_multiplicity(zero, CenterSpec.origin(2, 0))

@@ -137,6 +137,52 @@ def test_script_schema_rejects_what_it_cannot_run(case, tmp_path, capsys):
     assert err.startswith("error: ") and where in err
 
 
+# (form, script, text the error must contain): each script passes the
+# schema and fails at run time, in step 1
+ORIGIN = {"path": [], "center": {"kind": "point"}}
+LOG_CORNER = {"coefficients": ["2", "3", "-4*sqrt(2)"], "log": [True] * 3}
+BAD_RUNS = {
+    "chart_blown_up_twice": (LOG_CORNER, [ORIGIN, ORIGIN], "already blown up"),
+    "chart_missing": (LOG_CORNER, [ORIGIN, {**ORIGIN, "path": ["x", "x"]}],
+                      "no chart at path ('x', 'x')"),
+    # x dx + y dy + z dz is (1 + y^2 + z^2) dx + x y dy + x z dz in chart x,
+    # so {y = z = 0} is not invariant there
+    "center_not_invariant": ({"coefficients": ["x", "y", "z"]},
+                             [ORIGIN, {"path": ["x"], "center": {"kind": "curve",
+                                                                 "axis": [1, 2]}}],
+                             "is not invariant"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_RUNS))
+def test_script_errors_at_run_time_name_their_step(case, tmp_path, capsys):
+    form, script, message = BAD_RUNS[case]
+    scenario = {**load("log_corner_3d.json"), "form": form, "script": script}
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(scenario))
+    assert main(["graph", str(src)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: script[1]: ") and message in err
+
+
+def test_dicritical_reads_the_saturated_form():
+    # x (y dx - 2 x dy): the common factor x would double the multiplicity
+    report, code, _ = run_scenario({"name": "unsaturated",
+                                    "form": {"coefficients": ["x*y", "-2*x^2"]},
+                                    "analyses": ["classify", "dicritical"]})
+    assert code == 0
+    assert report["analyses"]["dicritical"]["multiplicity"] == 1
+    assert report["analyses"]["classify"]["multiplicity"] == 1
+
+
+def test_zero_form_dicritical_is_a_typed_error(tmp_path, capsys):
+    src = tmp_path / "zero.json"
+    src.write_text(json.dumps({"name": "zero", "form": {"coefficients": ["0", "0"]},
+                               "analyses": ["dicritical"]}))
+    assert main(["analyze", str(src)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_graph_round_trip_mismatch_is_an_error(tmp_path, capsys, monkeypatch):
     ingest = DivisorGraph.from_json.__func__
 

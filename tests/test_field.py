@@ -1,6 +1,7 @@
 """Exact field arithmetic, sign decisions and non-resonance."""
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -148,3 +149,15 @@ def test_power_matches_repeated_multiplication(x, n):
     for _ in range(abs(n)):
         expected = expected * base
     assert x ** n == expected
+
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_elements_of_different_fields_do_not_mix(op):
+    # even a rational element of Q(i) is not read as one of Q(i, sqrt(2))
+    a, b = F(0, 1), F(2, 3)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(FieldParseError, match="mixing"):
+            op(x, y)
+    assert op(b, 2) == op(F(2, 3), F(2, 2))
+    assert op(b, Fraction(1, 2)) == op(F(2, 3), F(2, Fraction(1, 2)))
