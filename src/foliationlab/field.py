@@ -185,7 +185,7 @@ class FieldElement:
             return self.is_rational() and self.ar == other
         if not isinstance(other, FieldElement):
             return NotImplemented
-        if self.d != other.d and (self.has_sqrt_part() or other.has_sqrt_part()):
+        if self.d != other.d:
             return False
         return (self.ar, self.ai, self.br, self.bi) == (other.ar, other.ai, other.br, other.bi)
 

@@ -6,6 +6,7 @@ empty term map.  Up to three variables, named x, y, z (aliases x1, x2, x3).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 from .errors import DivisionByZero, FieldParseError, NotDivisible
@@ -403,14 +404,91 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return (poly_gcd(cp, cq) * pp).monic()
 
 
+# The coprimality certificate in gcd_many sets every variable but the kept one
+# to the integer at its index in one of these points, tried in order until one
+# keeps the kept variable's leading coefficient and gives coprime images; the
+# number of points is the trial count.  A point fails when the line it fixes
+# meets a common zero, so zero is left out: the germs are singular at the
+# origin.  On the benchmark workloads (seeds 1-3) the first point proves every
+# shared variable but one each on seeds 1 and 2, which the second proves; on
+# 5323 shared variables of random coprime pairs with small integer
+# coefficients the third point was needed twice and a fourth never.
+SPECIALIZATION_POINTS = ((2, 3, 5), (3, -2, 7), (-5, 7, -3))
+
+
+def _specialize(p, k, point):
+    """Dense coefficient list in x_k of p with every other x_j set to point[j]
+    ([] when that gives zero)."""
+    for j in range(p.nvars):
+        if j != k:
+            p = p.set_var(j, FieldElement(p.d, point[j]))
+    return p.univariate_coefficients(k)
+
+
+def _univariate_gcd_degree(a, b):
+    """Degree of gcd(a, b) by Euclid over the field, for dense coefficient
+    lists with a nonzero; each divisor is made monic first.
+
+    poly_gcd on the images gives the same degree, but its pseudo-remainders
+    are never made monic and their coefficients grow: root saturation of the
+    147 plane_reduction germs of seeds 1-3 took 0.75 s with it against
+    0.27 s with this loop, and a plane_reduction pass 3.02 s against 2.77 s
+    (medians of six alternating runs, 2 vCPUs).
+    """
+    while b:
+        inv = b[-1].inverse()
+        b = [c * inv for c in b]
+        a = list(a)
+        while len(a) >= len(b):
+            top, shift = a.pop(), len(a) - len(b) + 1
+            for i, c in enumerate(b[:-1]):
+                a[shift + i] = a[shift + i] - top * c
+            while a and a[-1].is_zero():
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
+
+
+def _proved_coprime(p, q):
+    """True only when the nonzero p and q have no non-constant common factor.
+
+    For each variable x_k in both, every other variable is set to an integer
+    point where lc_k(p), the leading coefficient of p in x_k, does not vanish,
+    and Euclid runs on the two univariate images.  Why a gcd of degree 0 at
+    one such point for every such x_k proves gcd(p, q) = 1: a common factor g
+    has vars(g) within vars(p) and vars(q).  From p = g h, lc_k(g) lc_k(h) =
+    lc_k(p), which does not vanish at the point, so g's image keeps its
+    x_k-degree and divides both images; that degree is therefore 0, so g
+    involves none of the shared variables and is constant.  False (no point
+    gave coprime images for some x_k: unlucky points or a real common factor)
+    proves nothing.
+    """
+    shared = set(p.appearing_variables()) & set(q.appearing_variables())
+    for k in shared:
+        deg = p.degree_in(k)
+        for point in SPECIALIZATION_POINTS:
+            pk = _specialize(p, k, point)
+            if len(pk) == deg + 1 and \
+                    _univariate_gcd_degree(pk, _specialize(q, k, point)) == 0:
+                break
+        else:
+            return False
+    return True
+
+
 def gcd_many(polys):
     """Gcd of a sequence of polynomials; None for an empty one.
 
     One polynomial comes back as it is, or 1 when it is a nonzero constant;
-    the gcd of two or more is monic.  When they are all nonzero and one is a
-    single term, the gcd is their monomial content (the componentwise least
-    exponent over all their terms): a monomial's only divisors are monomials.
-    Otherwise poly_gcd runs pairwise.
+    the gcd of two or more is monic.  Three steps, in order:
+
+    1. Monomial content.  When they are all nonzero and one is a single term,
+       the gcd is their monomial content (the componentwise least exponent
+       over all their terms): a monomial's only divisors are monomials.
+    2. Coprimality certificate.  When some pair of the nonzero inputs is
+       proved coprime by univariate specialization (`_proved_coprime`), the
+       gcd is 1.
+    3. Otherwise poly_gcd runs pairwise, so the result is always exact.
     """
     polys = list(polys)
     if len(polys) > 1 and all(p.terms for p in polys) \
@@ -418,6 +496,9 @@ def gcd_many(polys):
         content = tuple(map(min, zip(*(e for p in polys for e in p.terms))))
         p = polys[0]
         return Polynomial(p.nvars, p.d, {content: FieldElement(p.d, 1)})
+    nonzero = [p for p in polys if p.terms]
+    if any(_proved_coprime(p, q) for p, q in combinations(nonzero, 2)):
+        return nonzero[0].one_like()
     out = None
     for p in polys:
         out = p if out is None else poly_gcd(out, p)

@@ -152,11 +152,16 @@ def test_power_matches_repeated_multiplication(x, n):
 
 
 
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv,
+                                operator.eq])
 def test_elements_of_different_fields_do_not_mix(op):
-    # even a rational element of Q(i) is not read as one of Q(i, sqrt(2))
-    a, b = F(0, 1), F(2, 3)
+    # even a rational element of Q(i) is not read as one of Q(i, sqrt(2)):
+    # arithmetic refuses the pair and equality says they differ
+    a, b = F(0, 3), F(2, 3)
     for x, y in ((a, b), (b, a)):
+        if op is operator.eq:
+            assert not op(x, y) and x != y
+            continue
         with pytest.raises(FieldParseError, match="mixing"):
             op(x, y)
     assert op(b, 2) == op(F(2, 3), F(2, 2))

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,13 @@ def polys(draw, nvars, d, max_terms=3):
     return out
 
 
+def small_polys(nvars, d):
+    """Polynomials of up to three terms of total degree at most 2."""
+    exps = st.tuples(*[st.integers(0, 2)] * nvars).filter(lambda e: sum(e) <= 2)
+    return st.dictionaries(exps, elements(d), max_size=3).map(
+        lambda terms: Polynomial(nvars, d, terms))
+
+
 fields = st.tuples(st.sampled_from((2, 3)), st.sampled_from((0, 2)))
 
 
@@ -125,6 +133,34 @@ def test_gcd_many_matches_the_pairwise_gcd(data, field):
     if data.draw(st.booleans()):
         parts = [p * common for p in parts]
     assert gcd_many(parts) == reference_gcd_many(parts)
+
+
+@given(st.data(), fields)
+@settings(max_examples=60, deadline=None)
+def test_the_coprimality_certificate_is_sound(data, field):
+    # multiples of a non-constant g are never "proved coprime", and gcd_many
+    # agrees with the pairwise poly_gcd on pairs and triples with and without g
+    nvars, d = field
+    nonzero = small_polys(nvars, d).filter(lambda p: not p.is_zero())
+    g = data.draw(nonzero.filter(lambda p: not p.is_constant()))
+    parts = data.draw(st.lists(nonzero, min_size=2, max_size=3))
+    multiples = [g * p for p in parts]
+    assert not any(poly._proved_coprime(p, q) for p, q in combinations(multiples, 2))
+    for ps in (parts, multiples):
+        assert gcd_many(ps) == reference_gcd_many(ps)
+
+
+def test_an_unlucky_point_moves_on_and_no_lucky_point_falls_back(monkeypatch):
+    # y + x - 2 and y - x + 2 meet at (2, 0): the first point's line {x = 2}
+    # goes through it, so y needs the second point; with the first point alone
+    # nothing is proved and poly_gcd finds the gcd 1
+    p, q = (parse_polynomial(t, 2, 0) for t in ("y + x - 2", "y - x + 2"))
+    assert poly._univariate_gcd_degree(*(poly._specialize(f, 1, poly.SPECIALIZATION_POINTS[0])
+                                         for f in (p, q))) == 1
+    assert poly._proved_coprime(p, q)
+    monkeypatch.setattr(poly, "SPECIALIZATION_POINTS", poly.SPECIALIZATION_POINTS[:1])
+    assert not poly._proved_coprime(p, q)
+    assert gcd_many([p, q]) == p.one_like()
 
 
 def test_exact_div_refuses_a_non_multiple_and_divides_zero():

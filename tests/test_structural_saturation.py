@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from foliationlab import forms, reduce2d
+from foliationlab import forms, poly, reduce2d
 from foliationlab.blowup import (BlowupAtlas, CenterSpec, chart_substitution, pull_back,
                                  transform_form)
 from foliationlab.field import FieldElement
 from foliationlab.forms import OneForm, saturate
-from foliationlab.poly import Polynomial
+from foliationlab.poly import Polynomial, parse_polynomial
 
 
 def reference_chart(form, center, j):
@@ -104,3 +104,37 @@ def test_no_gcd_after_the_root_is_saturated(monkeypatch):
     assert sorted(c.path for c in atlas.leaf_charts()) == [("x", "x"), ("x", "y"), ("y",)]
     dicritical, points = reduce2d.exceptional_points(root)
     assert not dicritical and sorted(str(t) for _, t, _ in points) == ["-1", "1"]
+
+
+def slow_gcd_germ():
+    """The log form sum_k lam_k (prod_{j != k} f_j) df_k of the branches
+    y^2 + x^3, y - 2x and y^2 - x^5 over Q(i, sqrt(2)).  Its two coefficients
+    are coprime with 7 terms each, and poly_gcd takes minutes to find that."""
+    branches = [parse_polynomial(t, 2, 2) for t in ("y^2 + x^3", "y - 2*x", "y^2 - x^5")]
+    lams = [parse_polynomial(t, 2, 2) for t in ("-1", "3/2*sqrt(2)", "-1/2*i")]
+    coeffs = []
+    for v in range(2):
+        c = Polynomial.zero(2, 2)
+        for k, (lam, f) in enumerate(zip(lams, branches)):
+            term = lam * f.derivative(v)
+            for j, g in enumerate(branches):
+                if j != k:
+                    term = term * g
+            c = c + term
+        coeffs.append(c)
+    return OneForm(coeffs)
+
+
+def test_the_slow_gcd_germ_saturates_by_its_certificate(monkeypatch):
+    form = slow_gcd_germ()
+
+    def refuse(p, q):
+        raise AssertionError("poly_gcd called on coprime coefficients")
+
+    monkeypatch.setattr(poly, "poly_gcd", refuse)
+    sat, removed = saturate(form)
+    assert removed == Polynomial.const(1, 2, 2)
+    assert sat == form
+    monkeypatch.undo()
+    audit = reduce2d.reduce(form).cs_sum_audit()
+    assert audit and all(component["ok"] for component in audit.values())
