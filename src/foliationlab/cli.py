@@ -26,8 +26,9 @@ from .divisorgraph import DivisorGraph, from_atlas
 from .errors import FoliationLabError, InvalidGraph, ScenarioError
 from .field import FieldElement
 from .forms import saturate
-from .holonomy import (lemma4_constant, lemma4_reach_check, lift_path, loop_multiplier,
-                       nodal_first_integral_drift, saturation_probe, sweep_csv)
+from .holonomy import (lemma4_constant, lemma4_reach_check, loop_multiplier,
+                       nodal_first_integral_drift, rk4_lift_path, saturation_probe,
+                       sweep_csv)
 from .reduce2d import first_blowup_index_sum, reduce
 from .scenario import check, expectations, load
 from .scenario import parse_center, parse_form  # noqa: F401  (part of this module's API)
@@ -174,8 +175,8 @@ def _holonomy_block(blk, config):
     if kind == "multiplier":
         m = loop_multiplier(blk["lam"], blk["turns"])
         return {"kind": kind, "value": m, "modulus": abs(m)}, None
-    if kind == "lift":
-        end = lift_path(*blk["lift"], config)
+    if kind == "lift":  # the RK4 kernel, so that closed_form_error checks it
+        end = rk4_lift_path(*blk["lift"], config)
         rec = {"kind": kind, "end": end, "modulus": abs(end)}
         if blk["closed_form"] is not None:
             rec["closed_form_error"] = abs(end - blk["closed_form"])

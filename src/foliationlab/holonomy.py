@@ -1,7 +1,8 @@
 """Floating-point holonomy experiments for linear and nodal models.
 
-This is the only floating-point module: closed-form loop multipliers, a
-fourth-order lift of paths through the foliation, first-integral conservation
+This is the only floating-point module: closed-form loop multipliers, lifts
+of paths through the foliation (exact along log-affine paths of unperturbed
+models, fourth-order Runge-Kutta otherwise), first-integral conservation
 along leaves of nodal models, and the contraction constants with their
 empirical reach checks.  Everything else in the package is exact.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import sys
 from collections import deque
 
 from .errors import BadParameters, LeftDomain, PathTooLong, StepTooLarge, ZeroLambda
@@ -79,6 +81,9 @@ DEFAULT_CONFIG = NumericConfig()
 
 # ---------------------------------------------------------------------------
 # base paths: t in [0, 1] -> (value, derivative) per moving coordinate
+#
+# Each constructor below makes a log-affine path, x(t) = exp(a + d t), and
+# records (a, d) as its log_affine attribute; lift_path reads d.
 # ---------------------------------------------------------------------------
 
 def circle_path(alpha, turns=1):
@@ -91,6 +96,7 @@ def circle_path(alpha, turns=1):
         v = alpha * cmath.exp(w * t)
         return v, w * v
     f.length = abs(alpha) * 2 * math.pi * abs(turns)
+    f.log_affine = (cmath.log(alpha), w)
     return f
 
 
@@ -105,6 +111,7 @@ def spiral_path(start, end, turns=0):
         v = cmath.exp(a + d * t)
         return v, d * v
     f.length = abs(d) * max(abs(start), abs(end))
+    f.log_affine = (a, d)
     return f
 
 
@@ -115,6 +122,7 @@ def constant_path(value):
     def f(t):
         return value, 0.0
     f.length = 0.0
+    f.log_affine = (cmath.log(value), 0.0)
     return f
 
 
@@ -125,6 +133,36 @@ def constant_path(value):
 # RK4 steps one lift may take; a lift that needs more raises StepTooLarge
 # before integrating, so a tiny configured step cannot hang a scenario.
 MAX_RK4_STEPS = 10 ** 6
+
+
+def _step_count(paths, start, config):
+    """The RK4 step count n of a lift, after the checks every lift makes
+    before it moves: LeftDomain for a start on the divisor, PathTooLong and
+    StepTooLarge."""
+    if start == 0:
+        raise LeftDomain("start value lies on the divisor")
+    length = sum(getattr(p, "length", 1.0) for p in paths.values())
+    if length > config.max_length:
+        raise PathTooLong(f"path length {length:.3g} exceeds the configured bound")
+    if max(length, 1.0) / config.step > MAX_RK4_STEPS:
+        raise StepTooLarge(f"the lift needs more than {MAX_RK4_STEPS} RK4 steps")
+    return max(16, int(math.ceil(max(length, 1.0) / config.step)))
+
+
+def _check_inside(u, xs, bound):
+    """The polydisc guard at one node: raise LeftDomain unless e^u and every
+    moving coordinate in xs are <= bound in modulus.  Anything else is
+    outside: NaN, and a u whose e^u is no finite float."""
+    try:
+        inside = cmath.isfinite(u) and math.exp(u.real) <= bound
+    except OverflowError:  # so far out that e^u is no float
+        inside = False
+    if not (inside and all(abs(v) <= bound for v in xs)):
+        raise LeftDomain("lifted path exited the polydisc or is no finite number")
+
+
+def _unperturbed(model, paths, fiber):
+    return all(model.perturbations[i] is None for i in [*paths, fiber])
 
 
 def _lift_steps(model, paths, fiber, start, config):
@@ -140,14 +178,7 @@ def _lift_steps(model, paths, fiber, start, config):
     and the end slope is the next step's k1.  The polydisc guard runs after
     every step.
     """
-    if start == 0:
-        raise LeftDomain("start value lies on the divisor")
-    length = sum(getattr(p, "length", 1.0) for p in paths.values())
-    if length > config.max_length:
-        raise PathTooLong(f"path length {length:.3g} exceeds the configured bound")
-    if max(length, 1.0) / config.step > MAX_RK4_STEPS:
-        raise StepTooLarge(f"the lift needs more than {MAX_RK4_STEPS} RK4 steps")
-    n = max(16, int(math.ceil(max(length, 1.0) / config.step)))
+    n = _step_count(paths, start, config)
     h = 1.0 / n
     h6 = h / 6
     index = list(paths)
@@ -178,7 +209,7 @@ def _lift_steps(model, paths, fiber, start, config):
             raise ZeroLambda("fiber coefficient vanished along the path")
         return -num / den
 
-    unperturbed = all(model.perturbations[i] is None for i in [*index, fiber])
+    unperturbed = _unperturbed(model, paths, fiber)
     u = cmath.log(start)
     xs, ws = node(0.0)
     k1 = slope(xs, ws, u)
@@ -186,8 +217,8 @@ def _lift_steps(model, paths, fiber, start, config):
     for s in range(n):
         tm, te = (s + 0.5) * h, (s + 1) * h
         if unperturbed:
-            # written out rather than through node() and slope(): this is
-            # the loop every probe and reach check spends its time in
+            # written out rather than through node() and slope(): the slope
+            # depends on t alone, so one evaluation per node suffices
             num_m = num_e = 0.0
             xs = []
             for lam, p in terms:
@@ -207,29 +238,48 @@ def _lift_steps(model, paths, fiber, start, config):
             k3 = slope(xm, wm, u + h * k2 / 2)
             k4 = slope(xs, ws, u + h * k3)
             u += h6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        try:
-            outside = math.exp(u.real) > bound
-        except OverflowError:  # so far out that e^u is no float
-            outside = True
-        for v in xs:
-            outside = outside or abs(v) > bound
-        if outside:
-            raise LeftDomain("lifted path exited the polydisc")
+        _check_inside(u, xs, bound)
         yield xs, u
 
 
+def rk4_lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
+    """The end value of the fiber coordinate, integrated by the RK4 kernel
+    whatever the model and paths.  The CLI lift block calls it, so that the
+    block's closed_form_error keeps checking the kernel.  Raises as
+    lift_path."""
+    _, u = deque(_lift_steps(model, paths, fiber, start, config), maxlen=1)[0]
+    return cmath.exp(u)
+
+
 def lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
-    """Integrate the lifting of a base path through omega(gamma') = 0.
+    """Lift a base path through omega(gamma') = 0; the end value of the fiber.
 
     paths maps each moving coordinate index to a base path; the fiber
-    coordinate is integrated in logarithmic form
+    coordinate is followed in logarithmic form
         u' = - sum_i (lam_i + b_i) (x_i'/x_i) / (lam_f + b_f),  x_f = e^u.
-    Returns the end value of the fiber coordinate; raises LeftDomain when
-    the lift leaves the polydisc, PathTooLong when the path is longer than
-    config.max_length and StepTooLarge when it needs more than
-    MAX_RK4_STEPS steps.
+    When every path is log-affine, x_i(t) = exp(a_i + d_i t) (each carries
+    log_affine, as circle, spiral and constant paths do), and no moving or
+    fiber coefficient is perturbed, u' = -sum_i lam_i d_i / lam_f is
+    constant, and the end value is the closed form exp(u(0) + u').  Re u
+    and log|x_i| are then affine in t, so the polydisc guard at the first
+    and the last RK4 node, h and n h, covers every node in between.  Any
+    other lift is integrated by rk4_lift_path.
+
+    Either route raises LeftDomain for a start on the divisor or a lift that
+    leaves the polydisc, PathTooLong when the path is longer than
+    config.max_length and StepTooLarge when RK4 would need more than
+    MAX_RK4_STEPS steps, with the same step count n.
     """
-    _, u = deque(_lift_steps(model, paths, fiber, start, config), maxlen=1)[0]
+    if not (_unperturbed(model, paths, fiber)
+            and all(hasattr(p, "log_affine") for p in paths.values())):
+        return rk4_lift_path(model, paths, fiber, start, config)
+    n = _step_count(paths, start, config)
+    rate = -sum(model.lam[i] * p.log_affine[1] for i, p in paths.items()) / model.lam[fiber]
+    u0 = cmath.log(start)
+    bound = model.delta * (1 + 1e-9)
+    for t in (1.0 / n, n * (1.0 / n)):
+        u = u0 + rate * t
+        _check_inside(u, [p(t)[0] for p in paths.values()], bound)
     return cmath.exp(u)
 
 
@@ -240,7 +290,7 @@ def loop_multiplier(lam, turns=1):
         raise ZeroLambda("loop multiplier requires a nonzero residue")
     try:
         return cmath.exp(-2j * math.pi * turns / lam)
-    except OverflowError:
+    except (OverflowError, ValueError):  # an exponent part too large for a float
         raise BadParameters(f"the multiplier of {turns} turns overflows a float") from None
 
 
@@ -275,6 +325,9 @@ def lemma4_constant(lam, rho, eps):
     """
     if lam <= 0 or rho <= 0 or eps <= 0:
         raise BadParameters("lemma4_constant needs positive lam, rho, eps")
+    if not 0 < rho * rho < math.inf:
+        raise BadParameters("lemma4_constant needs a rho whose square is a finite "
+                            f"nonzero float, not {rho!r}")
     return eps * math.exp(-2 * ((math.pi + 1) * rho + lam) / (rho * rho))
 
 
@@ -284,7 +337,10 @@ def lemma4_reach_check(lam, rho, eps, trials=100, config=DEFAULT_CONFIG):
     Random starts (alpha', beta') with |beta'| < c are driven to the
     transversal {x = alpha, |y| < eps}, alpha = 1/2, by an angular then a
     radial path; returns the fraction that arrive without exiting the unit
-    polydisc.  The starts come from a generator seeded with 7.
+    polydisc.  The starts come from a generator seeded with 7.  Both legs
+    are spirals on an unperturbed model, so lift_path follows them by its
+    closed form and checks the polydisc guard at two nodes; nothing is
+    integrated.
     """
     c = lemma4_constant(lam, rho, eps)
     alpha = 0.5
@@ -319,16 +375,23 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
 
     For each grid point (x_g, y_g) the probe solves for a start value on the
     transversal along a spiral path with k extra turns, then confirms the
-    candidate by integrating the lift.  Nodal models leave exactly the points
-    with first-integral value beyond the transversal range unreached.  A
-    candidate whose lift leaves the polydisc or whose spiral is too long is
-    skipped; a lift refused by the RK4 step cap raises StepTooLarge.
+    candidate with lift_path.  For an unperturbed model that confirmation is
+    the closed form of the lift plus the polydisc guard at the first and
+    last RK4 node, not an integration.  Nodal models leave exactly the
+    points with first-integral value beyond the transversal range
+    unreached.  A candidate whose lift leaves the polydisc or whose spiral
+    is too long is skipped; a lift refused by the RK4 step cap raises
+    StepTooLarge.
     """
     if model.tau != 2:
         raise BadParameters("the probe drives two-variable models")
-    if not (alpha > 0 and eps > 0):
-        raise BadParameters("the probe needs a positive alpha and eps")
+    if not (alpha > 0 and eps >= sys.float_info.min):
+        raise BadParameters("the probe needs a positive alpha and an eps of at least "
+                            f"{sys.float_info.min!r}, the smallest normal float")
     ratio = model.lam[0] / model.lam[1]
+    if not cmath.isfinite(ratio):
+        raise BadParameters(f"the residue ratio lam[0] / lam[1] = {ratio!r} is no "
+                            "finite float")
     records = []
     reached = 0
     for (xg, yg) in grid:
@@ -339,7 +402,7 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
             shift = (cmath.log(xg) - math.log(alpha)) + 2j * math.pi * k
             try:
                 y_start = yg * cmath.exp(ratio * shift)
-            except OverflowError:  # a start far beyond eps
+            except (OverflowError, ValueError):  # beyond eps, or an infinite phase
                 continue
             if abs(y_start) > eps or abs(y_start) == 0:
                 continue
@@ -370,7 +433,10 @@ def _turn_candidates(ratio, alpha, xg, yg, eps):
     # exp(-2 pi Im(ratio) k), so aim k at the value that lands inside eps
     base = (cmath.log(xg) - math.log(alpha))
     target = math.log(eps / 2) - math.log(abs(yg)) - (ratio * base).real
-    k0 = int(round(target / (-2 * math.pi * ratio.imag)))
+    k = target / (-2 * math.pi * ratio.imag)
+    if not math.isfinite(k):  # no winding number aims at an infinite target
+        return [0]
+    k0 = int(round(k))
     ks = []
     for dk in range(MAX_TURNS):
         for s in (k0 + dk, k0 - dk):

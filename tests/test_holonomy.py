@@ -116,6 +116,15 @@ def test_probe_skips_long_spirals_but_not_the_step_cap():
     assert type(refused.value) is StepTooLarge
 
 
+def test_probe_skips_candidates_that_overflow_a_float():
+    # Re(ratio * (log x - log alpha)) overflows, so no winding number aims
+    # at the target; and at |x| = alpha, Im(ratio * shift) overflows, so
+    # the start value has no phase
+    model = LinearModel([1e308 + 1j, 1.0], delta=50.0)
+    res = saturation_probe(model, 0.5, 0.9, [(0.05, 0.5), (0.5 * cmath.exp(2j), 0.5)])
+    assert [r["reached"] for r in res["records"]] == [False, False]
+
+
 def test_probe_nodal_threshold_small_grid():
     cfg = NumericConfig(step=5e-3, max_length=2000.0)
     r = math.sqrt(2)

@@ -1,4 +1,5 @@
-"""The RK4 lift kernel against the scalar loop it replaced."""
+"""The RK4 lift kernel against the scalar loop it replaced, and the closed
+form of lift_path against both."""
 from __future__ import annotations
 
 import cmath
@@ -9,13 +10,15 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import foliationlab
 from foliationlab import cli, holonomy
-from foliationlab.errors import LeftDomain, StepTooLarge, ZeroLambda
+from foliationlab.errors import FoliationLabError, LeftDomain, StepTooLarge, ZeroLambda
 from foliationlab.holonomy import (LinearModel, NumericConfig, circle_path,
                                    constant_path, lift_path,
-                                   nodal_first_integral_drift, spiral_path)
+                                   nodal_first_integral_drift, rk4_lift_path,
+                                   spiral_path)
 
 
 def reference_lift_path(model, paths, fiber, start, config=holonomy.DEFAULT_CONFIG):
@@ -93,28 +96,52 @@ CASES = [
 def test_kernel_matches_reference(name, model, paths, fiber, start, step):
     config = NumericConfig(step=step)
     want = reference_lift_path(model, paths, fiber, start, config)
+    got = rk4_lift_path(model, paths, fiber, start, config)
+    assert abs(got - want) <= 1e-12 * abs(want)
+
+
+UNPERTURBED = [c for c in CASES if all(b is None for b in c[1].perturbations)]
+
+
+@pytest.mark.parametrize("name,model,paths,fiber,start", UNPERTURBED,
+                         ids=[c[0] for c in UNPERTURBED])
+@pytest.mark.parametrize("step", [5e-3, 1e-3])
+def test_closed_form_matches_reference(name, model, paths, fiber, start, step):
+    config = NumericConfig(step=step)
+    want = reference_lift_path(model, paths, fiber, start, config)
     got = lift_path(model, paths, fiber, start, config)
     assert abs(got - want) <= 1e-12 * abs(want)
 
 
-def _small_probe_scenario():
+def test_closed_form_steps_nothing(monkeypatch):
+    monkeypatch.setattr(holonomy, "_lift_steps", lambda *a: pytest.fail("stepped"))
+    _, model, paths, fiber, start = CASES[0]
+    assert abs(lift_path(model, paths, fiber, start) - start * cmath.exp(-2 * math.pi)) < 1e-15
+    _, model, paths, fiber, start = CASES[5]  # perturbed: integrated
+    with pytest.raises(pytest.fail.Exception):
+        lift_path(model, paths, fiber, start)
+
+
+def _probe_scenario(n):
+    """The corpus probes on n x n grids; the corpus itself has 20 x 20."""
     with open(dict(cli.corpus_files())["holonomy_suite.json"]) as fh:
         scenario = json.load(fh)
     probes = [b for b in scenario["holonomy"]["blocks"] if b["kind"] == "probe"]
     for block in probes:
-        block["grid"].update(nx=5, ny=5)
+        block["grid"].update(nx=n, ny=n)
     scenario["holonomy"]["blocks"] = probes
     return scenario
 
 
 def test_probe_reached_flags_match_reference(monkeypatch):
-    scenario = _small_probe_scenario()
-    report, csvs = cli.analysis_holonomy(scenario)
+    scenarios = [_probe_scenario(5), _probe_scenario(20)]
+    results = [cli.analysis_holonomy(scenario) for scenario in scenarios]
     monkeypatch.setattr(holonomy, "lift_path", reference_lift_path)
-    ref_report, ref_csvs = cli.analysis_holonomy(scenario)
-    assert [name for name, _ in csvs] == ["complex_saddle", "real_saddle", "nodal"]
-    assert report == ref_report
-    assert csvs == ref_csvs
+    for scenario, (report, csvs) in zip(scenarios, results):
+        ref_report, ref_csvs = cli.analysis_holonomy(scenario)
+        assert [name for name, _ in csvs] == ["complex_saddle", "real_saddle", "nodal"]
+        assert report == ref_report
+        assert csvs == ref_csvs
 
 
 def test_guard_runs_after_every_step():
@@ -123,8 +150,86 @@ def test_guard_runs_after_every_step():
     model = LinearModel([1, 1], delta=1)
     paths = {0: spiral_path(0.5, 1.0005)}
     assert abs(reference_lift_path(model, paths, 1, 0.1)) < 1
-    with pytest.raises(LeftDomain):
-        lift_path(model, paths, 1, 0.1)
+    for route in (lift_path, rk4_lift_path):
+        with pytest.raises(LeftDomain):
+            route(model, paths, 1, 0.1)
+
+
+def _outcome(route, *args):
+    """The end value of a lift, or the type of the error it raised."""
+    try:
+        return route(*args)
+    except FoliationLabError as e:
+        return type(e)
+
+
+def test_both_routes_raise_at_the_same_inputs(monkeypatch):
+    monkeypatch.setattr(holonomy, "MAX_RK4_STEPS", 64)
+    model = LinearModel([1.0, 1j], delta=2.0)
+    circle = {0: circle_path(0.5, 1)}  # length pi
+    coarse = NumericConfig(step=0.1)
+    cases = [
+        (model, circle, 1, 0, coarse, LeftDomain),  # start on the divisor
+        (model, circle, 1, 0.5, NumericConfig(step=0.1, max_length=3.0), holonomy.PathTooLong),
+        (model, circle, 1, 0.5, NumericConfig(step=1 / 60), StepTooLarge),  # 189 > 64 steps
+        (LinearModel([1, 1], delta=1), {0: spiral_path(0.5, 1.0005)}, 1, 0.1, coarse,
+         LeftDomain),  # the path ends outside
+        (LinearModel([1j, 1.0], delta=2.0), circle, 1, 0.5, coarse, LeftDomain),  # the lift does
+    ]
+    for *args, want in cases:
+        assert _outcome(lift_path, *args) is want
+        assert _outcome(rk4_lift_path, *args) is want
+    assert isinstance(_outcome(lift_path, model, circle, 1, 0.5, coarse), complex)
+
+
+def _model(kind, a, b, delta):
+    if kind == "complex":
+        return LinearModel([a, b], delta=delta)
+    if kind == "real":
+        return LinearModel([a.real, b.real], delta=delta)
+    return LinearModel.nodal([abs(a.real), abs(b.real)], 1, delta=delta)
+
+
+_residue = st.complex_numbers(min_magnitude=0.2, max_magnitude=3.0)
+_point = st.complex_numbers(min_magnitude=0.05, max_magnitude=1.2)
+
+
+@st.composite
+def _lift_case(draw):
+    kind = draw(st.sampled_from(["complex", "real", "nodal"]))
+    a, b = draw(_residue), draw(_residue)
+    if kind != "complex" and (abs(a.real) < 0.2 or abs(b.real) < 0.2):
+        a, b = complex(1 + abs(a.real), 0), complex(-1 - abs(b.real), 0)
+    delta = draw(st.sampled_from([1.0, 2.0]))
+    path_kind = draw(st.sampled_from(["circle", "spiral", "constant"]))
+    if path_kind == "circle":
+        path = circle_path(draw(_point), draw(st.integers(-2, 2).filter(bool)))
+    elif path_kind == "spiral":
+        path = spiral_path(draw(_point), draw(_point), draw(st.integers(-1, 1)))
+    else:
+        path = constant_path(draw(_point))
+    fiber = draw(st.sampled_from([0, 1]))
+    return kind, a, b, delta, {1 - fiber: path}, fiber, draw(_point)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lift_case())
+def test_closed_form_and_kernel_agree(case):
+    kind, a, b, delta, paths, fiber, start = case
+    config = NumericConfig(step=1e-2)
+    # off the guard boundary: the closed form ends the same way for radii
+    # 1e-6 either side of delta
+    inner, outer = (_outcome(lift_path, _model(kind, a, b, delta * f), paths, fiber, start,
+                             config) for f in (1 - 1e-6, 1 + 1e-6))
+    assume(isinstance(inner, complex) or inner is outer)
+    model = _model(kind, a, b, delta)
+    exact = _outcome(lift_path, model, paths, fiber, start, config)
+    stepped = _outcome(rk4_lift_path, model, paths, fiber, start, config)
+    if isinstance(exact, complex):
+        assert isinstance(stepped, complex)
+        assert abs(exact - stepped) <= 1e-9 * abs(stepped)
+    else:
+        assert exact is stepped
 
 
 def test_step_cap_raises_before_integrating(monkeypatch):
@@ -157,6 +262,18 @@ def test_drift_runs_one_lift(monkeypatch):
     paths = {0: circle_path(0.3, 1), 1: spiral_path(0.35, 0.25 + 0.1j)}
     assert nodal_first_integral_drift(NODAL3, paths, 2, 0.4) < 1e-6
     assert len(runs) == 1
+
+
+def test_a_nan_lift_is_outside_the_polydisc():
+    # 2 pi i / 1e-308 overflows, and the overflowed slope turns u into NaN,
+    # which no comparison with the bound refuses on its own
+    model = LinearModel([1, 1e-308], delta=2.0)
+    for route in (lift_path, rk4_lift_path):
+        with pytest.raises(LeftDomain):
+            route(model, {0: circle_path(0.5, 1)}, 1, 0.5)
+    nodal = LinearModel.nodal([1.0, 1e-308], 1, delta=4.0)
+    with pytest.raises(LeftDomain):
+        nodal_first_integral_drift(nodal, {0: circle_path(0.3, 1)}, 1, 0.4)
 
 
 def test_drift_sees_the_whole_path():

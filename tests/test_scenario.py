@@ -166,6 +166,36 @@ def test_float_overflow_in_a_block_is_no_traceback(block, path, value, tmp_path,
         assert code == 1 and f"holonomy.blocks[{block}]: " in err
 
 
+# (block, JSON path inside it, value): floats at the ends of their range that
+# once ended in a traceback or in a NaN in the report
+HOSTILE = {
+    "multiplier_exponent_overflows": (0, ["lam"], 1e-308),  # e^(-inf i)
+    "probe_eps_subnormal": (7, ["eps"], 5e-324),  # log(eps / 2) of 0
+    "probe_ratio_nan": (7, ["model", "lam"], [[1e308, 1e308], [1e-308, 0]]),
+    "lemma4_rho_squared_underflows": (6, ["rho"], 1e-200),
+    "lemma4_rho_squared_overflows": (6, ["rho"], 1e308),  # inf / inf
+    "lift_nan": (3, ["model", "lam"], [[1, 0], [1e-308, 0]]),
+    "drift_nan": (4, ["model", "weights"], [1.0, 1e-308]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE))
+def test_extreme_holonomy_floats_exit_one_and_write_no_nan(case, tmp_path, capsys):
+    block, path, value = HOSTILE[case]
+    doc = copy.deepcopy(CORPUS["holonomy_suite.json"])
+    doc["holonomy"]["blocks"] = doc["holonomy"]["blocks"][:block + 1]
+    for blk in doc["holonomy"]["blocks"]:
+        blk.get("grid", {}).update(nx=2, ny=2)
+    _set(doc["holonomy"]["blocks"][block], path, value)
+    del doc["expect"]
+    src = tmp_path / "hostile.json"
+    src.write_text(json.dumps(doc))
+    code = main(["analyze", str(src), "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1 and err.startswith(f"error: holonomy.blocks[{block}]: ")
+    assert "NaN" not in out and not (tmp_path / "out" / "report.json").exists()
+
+
 def test_discriminant_square_free_test_runs_once_per_d():
     is_square_free.cache_clear()
     for _ in range(3):
@@ -200,6 +230,8 @@ def test_connected_groups_keep_the_order_of_their_first_curve():
 LONG_RUNNING = {"step", "max_length", "turns", "trials", "nx", "ny"}
 REFUSED = [None, True, "x", [], {}, NAN, INF, -INF]
 VALUES = REFUSED + [False, 0, -1, 7, 10 ** 30, 10 ** 400, [1], {"a": 1}]
+# floats at the ends of their range, drawn for holonomy fields
+EXTREME = [5e-324, 1e-308, 1e308, -1e308]
 
 
 def _fuzz_base(name):
@@ -229,6 +261,8 @@ def test_one_field_mutation_ends_in_an_exit_code(data):
     doc = _fuzz_base(name)
     path = data.draw(st.sampled_from(_field_paths(doc)))
     choices = REFUSED if path[-1] in LONG_RUNNING else [DROP] + VALUES
+    if path[0] == "holonomy" and path[-1] not in LONG_RUNNING:
+        choices = choices + EXTREME
     value = data.draw(st.sampled_from(choices))
     _set(doc, list(path), value)
     with tempfile.TemporaryDirectory() as root:
@@ -241,3 +275,4 @@ def test_one_field_mutation_ends_in_an_exit_code(data):
             code = main(["analyze", src])
     assert code in (0, 1, 2)
     assert (code == 1) == err.getvalue().startswith("error: ")
+    assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
