@@ -1,9 +1,11 @@
 """Coordinate blow-ups of germs: point and axis centers, chart atlases.
 
 Charts are indexed by their path of direction labels from the root germ.
-A point blow-up in direction j uses x_j = x'_j, x_i = x'_i x'_j; an axis
-blow-up {x_a = x_b = 0} only mixes the two center variables.  Only the root
-form is saturated: chart maps and shifts keep a form saturated.
+A chart is a monomial map: a point blow-up in direction j uses x_j = x'_j,
+x_i = x'_i x'_j, and an axis blow-up {x_a = x_b = 0} only mixes the two center
+variables.  So a chart form is computed on exponents: no coefficient is
+multiplied and no polynomial substituted.  Only the root form is saturated:
+chart maps and shifts keep a form saturated.
 """
 from __future__ import annotations
 
@@ -91,57 +93,46 @@ def contraction_test(form: OneForm, center: CenterSpec) -> bool:
     return total.is_zero()
 
 
-def chart_substitution(nvars, d, center: CenterSpec, direction):
-    """Old coordinates as polynomials in chart coordinates.
+def transform_form(form: OneForm, center: CenterSpec, j):
+    """The chart of direction j divided by x_j^r, r the least x_j-order of
+    the pullback (valid for any form).  Returns (form, r).
 
-    direction is the variable whose chart is taken: it stays, and every other
-    variable of the center is multiplied by it.
-    """
-    vs = center.variables(nvars)
-    if direction not in vs:
-        raise DimensionError("chart direction must participate in the center")
-    xj = Polynomial.var(direction, nvars, d)
-    subst = []
-    for i in range(nvars):
-        xi = Polynomial.var(i, nvars, d)
-        subst.append(xi * xj if i in vs and i != direction else xi)
-    return subst
+    The chart is the monomial map x_j = x'_j, x_i = x'_i x'_j for the moved
+    variables i (the other center variables), so it is built on exponents
+    with no field multiplication.  A term c x^e of dx_i keeps c and gains the
+    moved exponents of e in x_j; for a moved i, dx_i = x_j dx_i + x_i dx_j
+    sends it to dx_i times x_j and to dx_j times x_i.  Terms that meet in
+    dx_j are added exactly, and dividing by x_j^r subtracts r from each x_j
+    exponent.
 
-
-def pull_back(form: OneForm, subst, exceptional_var):
-    """Pull a plain form back through a substitution, without saturating.
-
-    Each plain coefficient is substituted once.  Returns (pulled form, order)
-    where order is the minimal vanishing order of the pulled coefficients
-    along the exceptional variable.
-    """
-    nvars, d = form.nvars, form.d
-    images = [c.substitute(subst) for c in form.plain_coefficients()]
-    pulled = []
-    for j in range(nvars):
-        cj = Polynomial.zero(nvars, d)
-        for i in range(nvars):
-            dij = subst[i].derivative(j)
-            if not dij.is_zero():
-                cj = cj + images[i] * dij
-        pulled.append(cj)
-    orders = [c.order([exceptional_var]) for c in pulled if not c.is_zero()]
-    return OneForm(pulled), min(orders, default=None)
-
-
-def transform_form(form: OneForm, subst, exceptional_var):
-    """Pull back a plain form through a chart and divide by x_e^r, r the
-    least exceptional order (valid for any form).  Returns (form, r).
-
-    A chart map is an isomorphism off {x_e = 0}, so x_e^r is the only common
+    A chart map is an isomorphism off {x_j = 0}, so x_j^r is the only common
     factor of the pullback of a saturated form: the result is its saturation.
     """
-    pulled, r = pull_back(form, subst, exceptional_var)
-    if sum(not c.is_zero() for c in pulled.coeffs) == 1:
-        return saturate(pulled)[0], r  # which divides a lone coefficient out whole
-    exps = tuple(r if k == exceptional_var else 0 for k in range(form.nvars))
-    xr = Polynomial(form.nvars, form.d, {exps: FieldElement(form.d, 1)})
-    return OneForm([c.exact_div(xr) for c in pulled.coeffs]), r
+    vs = center.variables(form.nvars)
+    if j not in vs:
+        raise DimensionError("chart direction must participate in the center")
+    moved = [i for i in vs if i != j]
+    pulled = [{} for _ in range(form.nvars)]
+    for i, coefficient in enumerate(form.plain_coefficients()):
+        for e, c in coefficient.terms.items():
+            image = list(e)
+            image[j] += sum(e[k] for k in moved)
+            target = i
+            if i in moved:
+                image[j] += 1
+                pulled[i][tuple(image)] = c
+                image[j] -= 1
+                image[i] += 1
+                target = j
+            s = pulled[target].get(tuple(image))
+            pulled[target][tuple(image)] = c if s is None else s + c
+    pulled = [Polynomial(form.nvars, form.d, terms) for terms in pulled]
+    r = min((e[j] for p in pulled for e in p.terms), default=None)
+    if sum(not p.is_zero() for p in pulled) == 1:
+        return saturate(OneForm(pulled))[0], r  # which divides a lone coefficient out whole
+    return OneForm([Polynomial(form.nvars, form.d,
+                               {e[:j] + (e[j] - r,) + e[j + 1:]: c for e, c in p.terms.items()})
+                    for p in pulled]), r
 
 
 def _dicritical_report(form: OneForm, center: CenterSpec, orders):
@@ -183,8 +174,7 @@ def blow_up_germ(form: OneForm, center: CenterSpec):
     dicriticality report, [(direction, chart form)]).
     """
     vs = center.variables(form.nvars)
-    charts = [transform_form(form, chart_substitution(form.nvars, form.d, center, j), j)
-              for j in vs]
+    charts = [transform_form(form, center, j) for j in vs]
     info = _dicritical_report(form, center, [r for _, r in charts])
     return info, [(j, chart) for j, (chart, _) in zip(vs, charts)]
 

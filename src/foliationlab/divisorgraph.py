@@ -323,10 +323,9 @@ class DivisorGraph:
         return report
 
     def trace_incompatibility_check(self):
-        """Pairs of s-trace curves in one component with exactly one in N."""
-        v = self.validate()
-        if v:
-            raise InvalidGraph(v)
+        """Pairs of s-trace curves in one component with exactly one in N.
+
+        Raises InvalidGraph, through nodal_curve_set, on an invalid graph."""
         in_n = self.nodal_curve_set()
         strace = self.s_trace_curves()
         out = []

@@ -192,11 +192,6 @@ class FieldElement:
     def __hash__(self):
         return hash((self.ar, self.ai, self.br, self.bi, self.d if self.has_sqrt_part() else 0))
 
-    # -- conjugation --------------------------------------------------
-    def sqrt_conj(self):
-        """Galois conjugation sqrt(d) -> -sqrt(d)."""
-        return FieldElement(self.d, self.ar, self.ai, -self.br, -self.bi)
-
     # -- decidable sign tests -----------------------------------------
     def reality_sign(self) -> Sign:
         if self.ai or self.bi:

@@ -19,7 +19,7 @@ from .errors import (DepthExceeded, DimensionError, IncompleteTree,
 from .field import (FieldElement, RatioClass, classify_ratio, field_sqrt,
                     nonresonant)
 from .forms import OneForm, invariant_axis, saturate, singular_at_origin
-from .poly import VARNAMES, poly_gcd
+from .poly import VARNAMES, gcd_many
 from .solve import univariate_roots
 
 
@@ -148,16 +148,10 @@ def singular_points_on_exceptional(form: OneForm, exc_var):
     other = 1 - exc_var
     cs = form.plain_coefficients()
     zero = FieldElement(form.d, 0)
-    r0 = cs[0].set_var(exc_var, zero)
-    r1 = cs[1].set_var(exc_var, zero)
-    if r0.is_zero() and r1.is_zero():
+    restrictions = [c.set_var(exc_var, zero) for c in cs]
+    g = gcd_many([r for r in restrictions if not r.is_zero()])
+    if g is None:
         raise ZeroForm("form vanishes on the exceptional line; not saturated")
-    if r0.is_zero():
-        g = r1
-    elif r1.is_zero():
-        g = r0
-    else:
-        g = poly_gcd(r0, r1)
     if g.is_constant():
         return [], []
     coeffs = g.univariate_coefficients(other)

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from foliationlab.blowup import (BlowupAtlas, CenterSpec, center_is_invariant,
-                                 center_multiplicity, chart_substitution,
-                                 detect_dicritical, transform_form)
+                                 center_multiplicity, detect_dicritical,
+                                 transform_form)
 from foliationlab.errors import (CenterNotSingularAdapted, ChartAlreadyBlownUp,
                                  DimensionError, ZeroForm)
 from foliationlab.field import FieldElement
@@ -21,14 +21,25 @@ def log_form(residue_texts, d=0):
     return OneForm.parse(residue_texts, nvars=n, d=d, log=[True] * n)
 
 
+# x dx + y dy + z dz = d(x^2 + y^2 + z^2)/2 shows each chart map in its pullback
+
 def test_chart_substitution_point_center():
-    subst = chart_substitution(3, 0, CenterSpec.origin(3, 0), 0)
-    assert [str(s) for s in subst] == ["x", "x*y", "x*z"]
+    # chart x: y -> x*y, z -> x*z, and the pullback x (1 + y^2 + z^2) dx + ...
+    # is divided by x
+    form = OneForm.parse(["x", "y", "z"], nvars=3, d=0)
+    chart, r = transform_form(form, CenterSpec.origin(3, 0), 0)
+    assert r == 1
+    assert [str(c) for c in chart.coeffs] == ["y^2 + z^2 + 1", "x*y", "x*z"]
 
 
 def test_chart_substitution_curve_center():
-    subst = chart_substitution(3, 0, CenterSpec.axis(0, 2), 2)
-    assert [str(s) for s in subst] == ["x*z", "y", "z"]
+    # chart z of the axis {x = z = 0}: x -> x*z, y stays, and dy keeps order 0
+    form = OneForm.parse(["x", "y", "z"], nvars=3, d=0)
+    chart, r = transform_form(form, CenterSpec.axis(0, 2), 2)
+    assert r == 0
+    assert [str(c) for c in chart.coeffs] == ["x*z^2", "y", "x^2*z + z"]
+    with pytest.raises(DimensionError, match="must participate"):
+        transform_form(form, CenterSpec.axis(0, 2), 1)
 
 
 def test_center_validation():
@@ -86,8 +97,7 @@ def test_cusp_first_chart():
     assert center_multiplicity(cusp, CenterSpec.origin(2, 0)) == 1
     rep = detect_dicritical(cusp, CenterSpec.origin(2, 0))
     assert not rep["dicritical"]
-    subst = chart_substitution(2, 0, CenterSpec.origin(2, 0), 0)
-    sat, r = transform_form(cusp, subst, 0)
+    sat, r = transform_form(cusp, CenterSpec.origin(2, 0), 0)
     assert r >= 1
     # transform of an invariant curve's differential keeps both axes invariant
     from foliationlab.forms import invariant_axis

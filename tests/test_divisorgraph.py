@@ -68,6 +68,8 @@ def test_remark_13_nodal_in_dicritical():
     assert any("dicritical" in v for v in g.validate())
     with pytest.raises(InvalidGraph):
         g.nodal_components()
+    with pytest.raises(InvalidGraph):
+        g.trace_incompatibility_check()
 
 
 def test_corner_exclusion_three_nodal_curves():

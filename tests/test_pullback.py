@@ -1,13 +1,28 @@
-"""The one pullback per chart against a naive per-term reference."""
+"""Each chart, built on exponents, against a naive per-term pullback."""
 from __future__ import annotations
 
 import random
 
 import pytest
 
-from foliationlab.blowup import CenterSpec, chart_substitution, detect_dicritical, pull_back
-from foliationlab.forms import OneForm
+from foliationlab.blowup import CenterSpec, detect_dicritical, transform_form
+from foliationlab.errors import DimensionError
+from foliationlab.forms import OneForm, saturate
 from foliationlab.poly import VARNAMES, Polynomial, parse_polynomial
+
+
+def chart_substitution(nvars, d, center, direction):
+    """Old coordinates as polynomials in chart coordinates: the direction
+    stays, and every other variable of the center is multiplied by it."""
+    vs = center.variables(nvars)
+    if direction not in vs:
+        raise DimensionError("chart direction must participate in the center")
+    xj = Polynomial.var(direction, nvars, d)
+    subst = []
+    for i in range(nvars):
+        xi = Polynomial.var(i, nvars, d)
+        subst.append(xi * xj if i in vs and i != direction else xi)
+    return subst
 
 
 def naive_pull_back(form, subst):
@@ -23,6 +38,17 @@ def naive_pull_back(form, subst):
             for j in range(nvars):
                 out[j] = out[j] + image * subst[i].derivative(j)
     return out
+
+
+def reference_transform(form, center, j):
+    """The naive pullback of chart j divided by x_j^r, r its least x_j-order,
+    or saturated when one coefficient survives.  Returns (form, r)."""
+    pulled = naive_pull_back(form, chart_substitution(form.nvars, form.d, center, j))
+    r = min(c.order([j]) for c in pulled if not c.is_zero())
+    if sum(not c.is_zero() for c in pulled) == 1:
+        return saturate(OneForm(pulled))[0], r
+    xr = Polynomial.var(j, form.nvars, form.d) ** r
+    return OneForm([c.exact_div(xr) for c in pulled]), r
 
 
 def random_form(rng, nvars, d, log=False):
@@ -72,32 +98,31 @@ CASES = [
 @pytest.mark.parametrize("name,cases,make_center", CASES, ids=[c[0] for c in CASES])
 def test_standard_charts_match_reference(name, cases, make_center):
     for form in cases:
-        nvars = form.nvars
         center = make_center(form.d)
         orders = {}
-        for j in center.variables(nvars):
-            subst = chart_substitution(nvars, form.d, center, j)
-            reference = naive_pull_back(form, subst)
-            pulled, order = pull_back(form, subst, j)
-            assert pulled.plain_coefficients() == reference
-            orders[VARNAMES[j]] = min(c.order([j]) for c in reference if not c.is_zero())
-            assert order == orders[VARNAMES[j]]
+        for j in center.variables(form.nvars):
+            chart, r = transform_form(form, center, j)
+            assert (chart, r) == reference_transform(form, center, j)
+            orders[VARNAMES[j]] = r
         assert detect_dicritical(form, center)["exceptional_orders"] == orders
 
 
-def test_each_coefficient_is_substituted_once(monkeypatch):
-    calls = []
-    original = Polynomial.substitute
+def test_a_chart_multiplies_and_substitutes_no_polynomial(monkeypatch):
+    blow_ups = [(form.plain(), center)
+                for form, centers in ((CUSP, [CenterSpec.origin(2, 0)]),
+                                      (JOUANOLOU, [CenterSpec.origin(3, 0)]),
+                                      (LOG_CORNER, [CenterSpec.origin(3, 2),
+                                                    CenterSpec.axis(0, 2),
+                                                    CenterSpec.axis(1, 2)]))
+                for center in centers]
 
-    def counting(self, images):
-        calls.append(self)
-        return original(self, images)
+    def refuse(*args):
+        raise AssertionError("a chart multiplied or substituted a polynomial")
 
-    monkeypatch.setattr(Polynomial, "substitute", counting)
-    for form in (CUSP, JOUANOLOU):
-        nvars = form.nvars
-        center = CenterSpec.origin(nvars, form.d)
-        calls.clear()
-        for j in range(nvars):
-            pull_back(form, chart_substitution(nvars, form.d, center, j), j)
-        assert len(calls) == nvars * nvars
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    monkeypatch.setattr(Polynomial, "__mul__", refuse)
+    charts = [transform_form(form, center, j)
+              for form, center in blow_ups for j in center.variables(form.nvars)]
+    monkeypatch.undo()
+    assert charts == [reference_transform(form, center, j)
+                      for form, center in blow_ups for j in center.variables(form.nvars)]

@@ -29,6 +29,15 @@ def test_simple_point_is_a_depth_zero_tree():
     assert verdict_generalized_curve(tree)["verdict"] == "GeneralizedCurve"
 
 
+def test_a_dicritical_line_is_singular_where_both_restrictions_vanish():
+    # chart x restricts the coefficients to y^4 - y^3 and y - 1, both nonzero
+    # on the dicritical exceptional line; their gcd y - 1 is its one point
+    tree = reduce(form(["-y*(y-x) - y^3", "x*(y-x) + y^3"]))
+    assert tree.blowups == 1
+    assert tree.components == {"E1": {"self_intersection": -1, "invariant": False}}
+    assert [(l.path, l.kind) for l in tree.leaves] == [(("x:1",), PointKind.SIMPLE_CH_TRACE)]
+
+
 def test_cusp_resolves_in_three_blowups():
     tree = reduce(form(["-3*x^2", "2*y"]))
     assert tree.blowups == 3

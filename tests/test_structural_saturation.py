@@ -6,18 +6,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from foliationlab import forms, poly, reduce2d
-from foliationlab.blowup import (BlowupAtlas, CenterSpec, chart_substitution, pull_back,
-                                 transform_form)
+from foliationlab.blowup import BlowupAtlas, CenterSpec, transform_form
 from foliationlab.field import FieldElement
 from foliationlab.forms import OneForm, saturate
 from foliationlab.poly import Polynomial, parse_polynomial
+from test_pullback import chart_substitution, naive_pull_back, reference_transform
 
 
 def reference_chart(form, center, j):
     """The general route every chart took before: pull back, then saturate
     through gcd_many.  Returns (chart form, power of x_j removed)."""
     subst = chart_substitution(form.nvars, form.d, center, j)
-    sat, removed = saturate(pull_back(form, subst, j)[0])
+    sat, removed = saturate(OneForm(naive_pull_back(form, subst)))
     return sat, removed.degree_in(j)
 
 
@@ -40,9 +40,9 @@ def polynomials(nvars, d, max_terms):
 
 
 @st.composite
-def saturated_forms(draw):
-    """The saturation of a form whose coefficients are products with a
-    common factor: 2-D or 3-D, d in {0, 2}, plain or logarithmic."""
+def factored_forms(draw):
+    """A form whose coefficients are products with a common factor: 2-D or
+    3-D, d in {0, 2}, plain or logarithmic."""
     nvars = draw(st.sampled_from((2, 3)))
     d = draw(st.sampled_from((0, 2)))
     common = draw(polynomials(nvars, d, 2))
@@ -52,7 +52,11 @@ def saturated_forms(draw):
     if all(c.is_zero() for c in coeffs):
         coeffs[draw(st.integers(0, nvars - 1))] = common
     log = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars))
-    return saturate(OneForm(coeffs, log=log))[0]
+    return OneForm(coeffs, log=log)
+
+
+def saturated_forms():
+    return factored_forms().map(lambda form: saturate(form)[0])
 
 
 def centers(nvars, d):
@@ -66,8 +70,17 @@ def centers(nvars, d):
 def test_every_standard_chart_matches_the_gcd_route(form):
     for center in centers(form.nvars, form.d):
         for j in center.variables(form.nvars):
-            subst = chart_substitution(form.nvars, form.d, center, j)
-            assert transform_form(form, subst, j) == reference_chart(form, center, j)
+            assert transform_form(form, center, j) == reference_chart(form, center, j)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(form=st.one_of(factored_forms(), saturated_forms()))
+def test_every_chart_matches_the_per_term_pullback(form):
+    # saturated or not, the exponent route gives the naive pullback divided
+    # by x_j^r, and the same r
+    for center in centers(form.nvars, form.d):
+        for j in center.variables(form.nvars):
+            assert transform_form(form, center, j) == reference_transform(form, center, j)
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -85,8 +98,7 @@ def test_a_lone_coefficient_is_divided_out_whole(texts):
     form = OneForm.parse(texts, nvars=len(texts), d=0)
     center = CenterSpec.origin(form.nvars, 0)
     for j in range(form.nvars):
-        subst = chart_substitution(form.nvars, 0, center, j)
-        assert transform_form(form, subst, j) == reference_chart(form, center, j)
+        assert transform_form(form, center, j) == reference_chart(form, center, j)
 
 
 def test_no_gcd_after_the_root_is_saturated(monkeypatch):
