@@ -121,3 +121,8 @@ class BadParameters(FoliationLabError):
 
 class ScenarioError(FoliationLabError):
     pass
+
+
+class RootIsolationFailed(FoliationLabError):
+    """The certified root isolation of solve found no disjoint inclusion
+    discs within its precision cap, so no root set is returned."""

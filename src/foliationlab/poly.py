@@ -141,6 +141,12 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if len(other.terms) == 1:
+            (oe, oc), = other.terms.items()
+            if oc.is_one():
+                # a unit monomial only shifts exponents
+                return Polynomial(self.nvars, self.d, {
+                    tuple(a + b for a, b in zip(e, oe)): c for e, c in self.terms.items()})
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -225,14 +231,36 @@ class Polynomial:
         return Polynomial(self.nvars, self.d, terms)
 
     def shift(self, offsets):
-        """Translate: variable i -> variable i + offsets[i]."""
-        images = []
-        for i in range(self.nvars):
-            v = Polynomial.var(i, self.nvars, self.d)
-            if not offsets[i].is_zero():
-                v = v + Polynomial.const(offsets[i], self.nvars, self.d)
-            images.append(v)
-        return self.substitute(images)
+        """Translate: variable i -> variable i + offsets[i].
+
+        For each nonzero offset a, every term expands by the binomial theorem,
+        x_i^k -> sum_j C(k, j) a^(k-j) x_i^j, with the powers of a computed
+        once per call and no product by 1.
+        """
+        terms = self.terms
+        for i, a in enumerate(offsets):
+            top = max((e[i] for e in terms), default=0)
+            if a.is_zero() or not top:
+                continue
+            powers = [None, a]
+            for _ in range(top - 1):
+                powers.append(powers[-1] * a)
+            factors = {}   # (k, j) -> C(k, j) a^(k-j) for j < k, as terms ask
+            out = {}
+            for e, c in terms.items():
+                k = e[i]
+                for j in range(k + 1):
+                    v = c
+                    if j < k:
+                        f = factors.get((k, j))
+                        if f is None:
+                            f = factors[k, j] = powers[k - j] * comb(k, j) if j else powers[k]
+                        v = f if c.is_one() else c * f
+                    t = e[:i] + (j,) + e[i + 1:]
+                    s = out.get(t)
+                    out[t] = v if s is None else s + v
+            terms = out
+        return Polynomial(self.nvars, self.d, terms)
 
     def drop_var(self, i):
         """Forget variable i (which must not appear), reducing nvars by one."""
@@ -425,9 +453,10 @@ def _specialize(p, k, point):
     return p.univariate_coefficients(k)
 
 
-def _univariate_gcd_degree(a, b):
-    """Degree of gcd(a, b) by Euclid over the field, for dense coefficient
-    lists with a nonzero; each divisor is made monic first.
+def _univariate_gcd(a, b):
+    """gcd(a, b) by Euclid over the field, for dense coefficient lists with a
+    nonzero; each divisor is made monic first, so the gcd is monic when b is
+    nonzero.
 
     poly_gcd on the images gives the same degree, but its pseudo-remainders
     are never made monic and their coefficients grow: root saturation of the
@@ -446,7 +475,12 @@ def _univariate_gcd_degree(a, b):
             while a and a[-1].is_zero():
                 a.pop()
         a, b = b, a
-    return len(a) - 1
+    return a
+
+
+def _univariate_gcd_degree(a, b):
+    """Degree of gcd(a, b), for dense coefficient lists with a nonzero."""
+    return len(_univariate_gcd(a, b)) - 1
 
 
 def _proved_coprime(p, q):

@@ -80,3 +80,24 @@ def test_wedge_coefficient_vanishes_for_exact_form():
     # d(y^2 - x^3) pulled to three variables is closed, hence integrable
     w = form(["-3*x^2", "2*y", "0"], nvars=3)
     assert wedge_d_coefficient(w).is_zero()
+
+
+def test_clearing_poles_and_the_contraction_test_multiply_no_field_elements(monkeypatch):
+    # both only multiply by a variable, which shifts exponents
+    from foliationlab.blowup import CenterSpec, contraction_test
+    w = form(["2*y*z + x", "-y*z + 3*x*y", "x*y - sqrt(2)*z^2"], nvars=3, d=2,
+             log=[True, True, False])
+    plain = [parse_polynomial(t, 3, 2) for t in
+             ("(2*y*z + x)*y", "(-y*z + 3*x*y)*x", "(x*y - sqrt(2)*z^2)*x*y")]
+    center = CenterSpec.origin(3, 2)
+    dicritical = contraction_test(w, center)
+    rotation = form(["y", "-x", "0"], nvars=3, d=2)
+
+    def refuse(self, other):
+        raise AssertionError("a field product")
+
+    monkeypatch.setattr(FieldElement, "__mul__", refuse)
+    monkeypatch.setattr(FieldElement, "__rmul__", refuse)
+    assert w.plain_coefficients() == plain
+    assert contraction_test(w, center) is dicritical is False
+    assert contraction_test(rotation, center) is True

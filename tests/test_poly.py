@@ -150,3 +150,38 @@ def test_power_spends_no_unused_squaring(n, products, monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counting)
     assert p ** n == expected
     assert len(calls) == products
+
+
+@st.composite
+def shift_cases(draw):
+    """(polynomial, offsets): 2 or 3 variables, d in {0, 2}, each offset zero
+    or not."""
+    nvars = draw(st.sampled_from((2, 3)))
+    d = draw(st.sampled_from((0, 2)))
+    part = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2)))
+    element = st.builds(lambda a, b, c: FieldElement(d, a, b, c if d else 0), part, part, part)
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * nvars), element, max_size=5))
+    offsets = [draw(st.one_of(st.just(FieldElement(d, 0)), element)) for _ in range(nvars)]
+    return Polynomial(nvars, d, terms), offsets
+
+
+@given(shift_cases())
+@settings(max_examples=60, deadline=None)
+def test_shift_matches_substituting_the_translated_variables(case):
+    p, offsets = case
+    images = [Polynomial.var(i, p.nvars, p.d) + Polynomial.const(a, p.nvars, p.d)
+              for i, a in enumerate(offsets)]
+    assert p.shift(offsets) == p.substitute(images)
+
+
+def test_shift_expands_terms_with_no_substitution_or_power(monkeypatch):
+    p = P("x^3*y - 2*x*y^2 + y^4 + 5", d=2)
+    offsets = [parse_element("1 - sqrt(2)", 2), parse_element("i", 2)]
+    expected = p.substitute([P("x + 1 - sqrt(2)", d=2), P("y + i", d=2)])
+
+    def refuse(*args):
+        raise AssertionError("shift substitutes or takes a power")
+
+    monkeypatch.setattr(Polynomial, "substitute", refuse)
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    assert p.shift(offsets) == expected
