@@ -170,7 +170,8 @@ def analysis_graph(scenario, form):
 
 
 def _holonomy_block(blk, config):
-    """(report record, sweep CSV text or None) of one parsed holonomy block."""
+    """(report record, sweep CSV renderer or None) of one parsed holonomy
+    block; the renderer takes no argument and returns the CSV text."""
     kind = blk["kind"]
     if kind == "multiplier":
         m = loop_multiplier(blk["lam"], blk["turns"])
@@ -193,13 +194,13 @@ def _holonomy_block(blk, config):
         return rec, None
     res = saturation_probe(blk["model"], blk["alpha"], blk["eps"], blk["grid"], config)
     return ({"kind": kind, "fraction": res["fraction"],
-             "unreached_count": len(res["unreached"])}, sweep_csv(res["records"]))
+             "unreached_count": len(res["unreached"])}, lambda: sweep_csv(res["records"]))
 
 
 def analysis_holonomy(scenario):
     config, blocks = check(scenario).holonomy
     results = []
-    csv_blobs = []
+    csvs = []
     for i, blk in enumerate(blocks):
         try:
             rec, csv = _holonomy_block(blk, config)
@@ -207,8 +208,8 @@ def analysis_holonomy(scenario):
             raise ScenarioError(f"holonomy.blocks[{i}]: {e}") from e
         results.append(rec)
         if csv is not None:
-            csv_blobs.append((blk["name"], csv))
-    return {"blocks": results}, csv_blobs
+            csvs.append((blk["name"], csv))
+    return {"blocks": results}, csvs
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,9 @@ def analysis_holonomy(scenario):
 # ---------------------------------------------------------------------------
 
 def run_scenario(scenario, analyses=None):
+    """(report, exit code, artifacts) of one scenario.  artifacts maps each
+    DOT/CSV file name to a zero-argument renderer of its text, so that only
+    the files a caller writes are rendered."""
     sc = check(scenario, analyses)
     report = {"tool_version": __version__,
               "scenario": sc.name,
@@ -231,17 +235,17 @@ def run_scenario(scenario, analyses=None):
         elif name == "reduce2d":
             rep, tree = analysis_reduce2d(sc, sc.form)
             report["analyses"][name] = rep
-            artifacts["reduction.dot"] = tree.to_dot()
+            artifacts["reduction.dot"] = tree.to_dot
         elif name == "graph":
             rep, graph, v = analysis_graph(sc, sc.form)
             report["analyses"][name] = rep
             violations.extend(v)
-            artifacts["graph.dot"] = graph.to_dot()
+            artifacts["graph.dot"] = graph.to_dot
         else:  # "holonomy", the one name left that check() admits
-            rep, blobs = analysis_holonomy(sc)
+            rep, csvs = analysis_holonomy(sc)
             report["analyses"][name] = rep
-            for bname, blob in blobs:
-                artifacts[f"{bname}.csv"] = blob
+            for bname, csv in csvs:
+                artifacts[f"{bname}.csv"] = csv
     report["violations"] = violations
     exit_code = 2 if violations else 0
     return report, exit_code, artifacts
@@ -351,10 +355,11 @@ def main(argv=None):
             os.makedirs(out, exist_ok=True)
             with open(os.path.join(out, "report.json"), "w") as fh:
                 fh.write(text)
-        for fname, blob in artifacts.items():
+        for fname, render in artifacts.items():
             wanted = (args.dot and fname.endswith(".dot")) or \
                      (args.csv and fname.endswith(".csv"))
             if wanted:
+                blob = render()
                 with open(os.path.join(out, fname), "w") as fh:
                     fh.write(blob)
         return code

@@ -253,17 +253,23 @@ class FieldElement:
 
 
 def field_sqrt(x: FieldElement):
-    """A square root of x inside Q(i, sqrt(d)), or None when none exists there.
+    """A square root of x inside K = Q(i, sqrt(d)), or None when none exists there.
 
-    Handles the cases that arise from characteristic polynomials with
-    coefficients in the field: rational arguments, rational multiples of d,
-    and Gaussian-rational arguments.
+    The search is complete.  Every element of K is u + v sqrt(d) with Gaussian
+    rationals u and v, and (u + v sqrt(d))^2 = (u^2 + d v^2) + 2uv sqrt(d).
+    Write x = a + b sqrt(d) with Gaussian a and b.
+
+    - x Gaussian (b = 0): then uv = 0, so either x = u^2 or x / d = v^2 is a
+      square in Q(i), and _gaussian_sqrt decides both exactly.
+    - Otherwise u and v are nonzero, and the norm of x to Q(i),
+      a^2 - d b^2 = (u^2 - d v^2)^2, is a Gaussian square s^2; if it is
+      none, x has no root.  For one sign of s, u^2 = (a + s) / 2 and
+      v = b / (2u), so trying both signs finds a root; each candidate is
+      checked by squaring it.
     """
     if x.is_zero():
         return FieldElement(x.d, 0)
     if x.has_sqrt_part():
-        # (u + v sqrt(d))^2 with u,v Gaussian leaves the sqrt component 2uv;
-        # a full search is not needed for the germs handled here.
         y = _gaussian_sqrt(x.ar * x.ar - x.ai * x.ai - x.d * (x.br * x.br - x.bi * x.bi),
                            2 * x.ar * x.ai - 2 * x.d * x.br * x.bi)
         # norm-based reconstruction: x = ((u+v sqrt d))^2 needs u^2 + d v^2 = a and 2uv = b

@@ -375,13 +375,14 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
 
     For each grid point (x_g, y_g) the probe solves for a start value on the
     transversal along a spiral path with k extra turns, then confirms the
-    candidate with lift_path.  For an unperturbed model that confirmation is
-    the closed form of the lift plus the polydisc guard at the first and
-    last RK4 node, not an integration.  Nodal models leave exactly the
-    points with first-integral value beyond the transversal range
-    unreached.  A candidate whose lift leaves the polydisc or whose spiral
-    is too long is skipped; a lift refused by the RK4 step cap raises
-    StepTooLarge.
+    candidate with lift_path; it tries k lazily, best contraction first, and
+    stops at the first candidate confirmed.  For an unperturbed model that
+    confirmation is the closed form of the lift plus the polydisc guard at
+    the first and last RK4 node, not an integration.  Nodal models leave
+    exactly the points with first-integral value beyond the transversal
+    range unreached.  A candidate whose lift leaves the polydisc or whose
+    spiral is too long is skipped; a lift refused by the RK4 step cap
+    raises StepTooLarge.
     """
     if model.tau != 2:
         raise BadParameters("the probe drives two-variable models")
@@ -398,8 +399,9 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
         if xg == 0 or yg == 0:
             raise LeftDomain("grid points must avoid the divisor")
         ok = False
+        base = cmath.log(xg) - math.log(alpha)
         for k in _turn_candidates(ratio, alpha, xg, yg, eps):
-            shift = (cmath.log(xg) - math.log(alpha)) + 2j * math.pi * k
+            shift = base + 2j * math.pi * k
             try:
                 y_start = yg * cmath.exp(ratio * shift)
             except (OverflowError, ValueError):  # beyond eps, or an infinite phase
@@ -426,23 +428,31 @@ MAX_TURNS = 40  # the probe tries spirals of at most this many turns
 
 
 def _turn_candidates(ratio, alpha, xg, yg, eps):
-    """Winding numbers worth trying, best contraction first."""
+    """Winding numbers worth trying, best contraction first: k0, then
+    k0 + 1, k0 - 1, ..., k0 + MAX_TURNS - 1, k0 - MAX_TURNS + 1, keeping
+    those with |k| <= MAX_TURNS, or 0 alone when none is kept.  A generator,
+    so the probe computes no candidate past the first it accepts."""
     if abs(ratio.imag) < 1e-12:
-        return [0]
+        yield 0
+        return
     # |y_start| = |yg| * exp(Re(ratio * shift)); extra turns scale it by
     # exp(-2 pi Im(ratio) k), so aim k at the value that lands inside eps
     base = (cmath.log(xg) - math.log(alpha))
     target = math.log(eps / 2) - math.log(abs(yg)) - (ratio * base).real
     k = target / (-2 * math.pi * ratio.imag)
     if not math.isfinite(k):  # no winding number aims at an infinite target
-        return [0]
+        yield 0
+        return
     k0 = int(round(k))
-    ks = []
-    for dk in range(MAX_TURNS):
+    if abs(k0) >= 2 * MAX_TURNS:  # k0 +- (MAX_TURNS - 1) all lie past MAX_TURNS
+        yield 0
+        return
+    if abs(k0) <= MAX_TURNS:
+        yield k0
+    for dk in range(1, MAX_TURNS):
         for s in (k0 + dk, k0 - dk):
-            if abs(s) <= MAX_TURNS and s not in ks:
-                ks.append(s)
-    return ks or [0]
+            if abs(s) <= MAX_TURNS:
+                yield s
 
 
 def sweep_csv(records):

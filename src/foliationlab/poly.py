@@ -21,6 +21,10 @@ VARNAMES = ("x", "y", "z")
 MAX_POWER_DEGREE = 64
 MAX_POWER_TERMS = 128
 MAX_POWER_BITS = 1 << 16
+# Digits of one integer literal: below the 4300 decimal digits past which
+# Python refuses to convert between int and str, with room for the growth of
+# exact values between input and report.
+MAX_LITERAL_DIGITS = 1000
 
 
 def _grlex_key(exps):
@@ -557,6 +561,9 @@ class _Tokens:
                 j = i
                 while j < len(text) and text[j].isdigit():
                     j += 1
+                if j - i > MAX_LITERAL_DIGITS:
+                    raise FieldParseError(f"an integer literal of {j - i} digits exceeds "
+                                          f"{MAX_LITERAL_DIGITS}")
                 self.toks.append(("num", int(text[i:j])))
                 i = j
             elif ch.isalpha():

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .blowup import CenterSpec, blow_up_germ
-from .classify import (PointKind, SaddleNodal, classify_saddle_nodal,
-                       camacho_sad_index, linear_part_matrix)
+from .classify import (PointKind, SaddleNodal, camacho_sad_index,
+                       linear_part_matrix)
 from .errors import (DepthExceeded, DimensionError, IncompleteTree,
                      NonRationalEigenvalues, NonRationalSingularPoint,
                      SaddleNodeUnsupported, ZeroForm)
@@ -191,6 +191,18 @@ def reduce(form: OneForm, max_depth: int = 24) -> ReductionTree:
     return tree
 
 
+# The saddle/nodal class of the residue pair (e2, -e1), read off the class
+# of e1 / e2: the ratio e2 / (-e1) = -1 / (e1 / e2) is non-real exactly when
+# e1 / e2 is, and has the opposite sign otherwise.  A positive rational e1 / e2
+# is no terminal point, and with det != 0 neither eigenvalue is zero.
+_SADDLE_NODAL_OF_RATIO = {
+    RatioClass.NOT_REAL: SaddleNodal.COMPLEX_SADDLE,
+    RatioClass.POSITIVE_IRRATIONAL: SaddleNodal.NODAL,
+    RatioClass.NEGATIVE_RATIONAL: SaddleNodal.REAL_SADDLE,
+    RatioClass.NEGATIVE_IRRATIONAL: SaddleNodal.REAL_SADDLE,
+}
+
+
 def _terminal_kind(form, axes):
     """Classify a germ already known to be terminal (or decide it is not).
 
@@ -223,8 +235,7 @@ def _terminal_kind(form, axes):
                 else PointKind.SIMPLE_CH_TRACE)
     else:
         kind = PointKind.SEIDENBERG_SIMPLE_RESONANT
-    sn = classify_saddle_nodal(res)
-    return True, (kind, res, sn, notes)
+    return True, (kind, res, _SADDLE_NODAL_OF_RATIO[ratio], notes)
 
 
 def _reduce_node(form, axes, path, tree, counter, max_depth):

@@ -8,9 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from foliationlab import cli
 from foliationlab.cli import (corpus_files, expectation_met, main, render_report,
                               run_corpus, run_scenario, scenario_hash)
 from foliationlab.divisorgraph import DivisorGraph
+from foliationlab.holonomy import saturation_probe, sweep_csv
+from foliationlab.reduce2d import ReductionTree
+from foliationlab.scenario import check
 
 
 def load(name):
@@ -80,7 +84,22 @@ def test_main_csv_artifacts(tmp_path, capsys):
     code = main(["holonomy", str(src), "--out", str(tmp_path / "out"), "--csv"])
     assert code == 0
     capsys.readouterr()
-    assert (tmp_path / "out" / "nodal.csv").exists()
+    config, [blk] = check(scenario).holonomy
+    res = saturation_probe(blk["model"], blk["alpha"], blk["eps"], blk["grid"], config)
+    assert (tmp_path / "out" / "nodal.csv").read_text() == sweep_csv(res["records"])
+
+
+def test_artifacts_are_rendered_only_when_written(monkeypatch, tmp_path, capsys):
+    def unwanted(*args):
+        pytest.fail("rendered an artifact no one writes")
+    for owner, name in ((cli, "sweep_csv"), (DivisorGraph, "to_dot"),
+                        (ReductionTree, "to_dot")):
+        monkeypatch.setattr(owner, name, unwanted)
+    assert run_corpus()[0]["all_matched"]
+    src = corpus_files()[0][1]
+    assert main(["analyze", str(src), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_parse_error_exit_one(tmp_path, capsys):
@@ -90,9 +109,12 @@ def test_parse_error_exit_one(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", ["(x+y+z+1)^10", "(x+y+z+1)^40", "2^100000000"])
+@pytest.mark.parametrize("text", ["(x+y+z+1)^10", "(x+y+z+1)^40", "2^100000000",
+                                  pytest.param("1" + "0" * 5000 + "*y",
+                                               id="literal_of_5001_digits")])
 def test_oversized_power_exits_one_at_once(text, tmp_path, capsys):
-    # the parser refuses the power before expanding it
+    # the parser refuses the power before expanding it, and the literal
+    # before int() refuses it with a ValueError
     scenario = {"name": "big-power", "dimension": 3, "d": 0,
                 "form": {"coefficients": [text, "y", "z"]}, "analyses": ["classify"]}
     src = tmp_path / "big.json"
@@ -100,7 +122,7 @@ def test_oversized_power_exits_one_at_once(text, tmp_path, capsys):
     t0 = time.perf_counter()
     assert main(["analyze", str(src)]) == 1
     assert time.perf_counter() - t0 < 1.0
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith("error: 'form.coefficients[0]': ")
 
 
 def test_unknown_analysis_is_an_error(tmp_path):

@@ -95,6 +95,26 @@ def test_sqrt_cases():
     assert field_sqrt(elem(3, 5)) is None
 
 
+# per discriminant, an element whose norm to Q(i) is no square there:
+# 3 for d = 0, and 1 + 2 sqrt(d), of norm 1 - 4d, otherwise
+NON_SQUARE_NORM = {0: elem(0, 3), 2: elem(2, 1, 0, 2), 3: elem(3, 1, 0, 2),
+                   5: elem(5, 1, 0, 2)}
+
+
+@pytest.mark.parametrize("d", [0, 2, 3, 5])
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_field_sqrt_is_complete(d, data):
+    x = data.draw(elements(d))
+    square = x * x
+    root = field_sqrt(square)
+    assert root is not None and root * root == square
+    # norms multiply: x^2 g has the norm N(x)^2 N(g), which is no square
+    # in Q(i) when N(g) is none, so x^2 g has no root in the field
+    if not x.is_zero():
+        assert field_sqrt(square * NON_SQUARE_NORM[d]) is None
+
+
 def test_classify_ratio_table():
     assert classify_ratio(elem(2, 1), elem(2, 2)) is RatioClass.POSITIVE_RATIONAL
     assert classify_ratio(elem(2, -1), elem(2, 2)) is RatioClass.NEGATIVE_RATIONAL

@@ -5,9 +5,11 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from foliationlab.errors import BadParameters, LeftDomain, StepTooLarge, ZeroLambda
-from foliationlab.holonomy import (LinearModel, NumericConfig, circle_path,
+from foliationlab.holonomy import (MAX_TURNS, LinearModel, NumericConfig,
+                                   _turn_candidates, circle_path,
                                    lemma4_constant, lemma4_reach_check,
                                    lift_path, loop_multiplier,
                                    nodal_first_integral_drift,
@@ -138,3 +140,58 @@ def test_probe_nodal_threshold_small_grid():
     csv = sweep_csv(res["records"])
     assert csv.splitlines()[0].startswith("re_x,")
     assert len(csv.splitlines()) == len(grid) + 1
+
+
+def reference_turn_candidates(ratio, alpha, xg, yg, eps):
+    """The list builder the generator replaced, verbatim."""
+    if abs(ratio.imag) < 1e-12:
+        return [0]
+    base = (cmath.log(xg) - math.log(alpha))
+    target = math.log(eps / 2) - math.log(abs(yg)) - (ratio * base).real
+    k = target / (-2 * math.pi * ratio.imag)
+    if not math.isfinite(k):
+        return [0]
+    k0 = int(round(k))
+    ks = []
+    for dk in range(MAX_TURNS):
+        for s in (k0 + dk, k0 - dk):
+            if abs(s) <= MAX_TURNS and s not in ks:
+                ks.append(s)
+    return ks or [0]
+
+
+def _polar(modulus, angle):
+    return modulus * cmath.exp(1j * angle)
+
+
+moduli = st.floats(1e-3, 1.0)
+angles = st.floats(-math.pi, math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-5, 5), st.floats(-5, 5), st.floats(0.05, 1.0), moduli, angles,
+       moduli, angles, st.floats(1e-6, 1.0))
+def test_turn_candidates_match_reference(re, im, alpha, rx, ax, ry, ay, eps):
+    args = (complex(re, im), alpha, _polar(rx, ax), _polar(ry, ay), eps)
+    assert list(_turn_candidates(*args)) == reference_turn_candidates(*args)
+
+
+@pytest.mark.parametrize("k", [-200, -80, -79, -41, -40, 0, 39, 40, 41, 79, 80, 200])
+def test_turn_candidates_near_the_cap(k):
+    # ratio i / 4, x_g = alpha and |y_g| = (eps / 2) exp(pi k / 2) aim at k itself
+    eps = 0.5
+    args = (0.25j, 0.5, 0.5, eps / 2 * math.exp(math.pi * k / 2), eps)
+    got = list(_turn_candidates(*args))
+    assert got == reference_turn_candidates(*args)
+    assert (got == [0]) == (abs(k) >= 2 * MAX_TURNS)
+    assert got[0] == (max(-MAX_TURNS, min(MAX_TURNS, k)) if abs(k) < 2 * MAX_TURNS else 0)
+
+
+@pytest.mark.parametrize("ratio, xg", [
+    (2.0 + 0j, 0.3 + 0.1j),     # a real ratio
+    (1.0 + 1e-13j, 0.3j),       # real up to the tolerance
+    (1e308 + 1j, 0.05),         # Re(ratio * base) overflows: no finite k
+])
+def test_turn_candidates_fall_back_to_zero(ratio, xg):
+    args = (ratio, 0.5, xg, 0.4, 0.9)
+    assert list(_turn_candidates(*args)) == reference_turn_candidates(*args) == [0]

@@ -4,12 +4,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from foliationlab.classify import PointKind
+from foliationlab import classify, reduce2d
+from foliationlab.classify import PointKind, SaddleNodal, classify_saddle_nodal
 from foliationlab.errors import DepthExceeded
-from foliationlab.field import FieldElement
+from foliationlab.field import FieldElement, RatioClass, classify_ratio
 from foliationlab.forms import OneForm
-from foliationlab.reduce2d import (first_blowup_index_sum, reduce,
+from foliationlab.reduce2d import (_terminal_kind, first_blowup_index_sum, reduce,
                                    verdict_generalized_curve)
 
 
@@ -103,3 +105,51 @@ def test_dot_export_mentions_leaves():
     tree = reduce(form(["-3*x^2", "2*y"]))
     dot = tree.to_dot()
     assert dot.startswith("digraph") and "Simple" in dot
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@st.composite
+def nonzero_elements(draw, d, real=False):
+    parts = [draw(rationals) for _ in range(4)]
+    if real:
+        parts[1] = parts[3] = 0
+    if d == 0:
+        parts[2] = parts[3] = 0
+    x = FieldElement(d, *parts)
+    assume(not x.is_zero())
+    return x
+
+
+@pytest.mark.parametrize("d", [0, 2, 3])
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_saddle_nodal_class_follows_from_the_ratio_class(d, data):
+    # e2 is a random element or a real multiple of e1, so every class occurs
+    e1 = data.draw(nonzero_elements(d))
+    if data.draw(st.booleans()):
+        e2 = data.draw(nonzero_elements(d))
+    else:
+        e2 = e1 * data.draw(nonzero_elements(d, real=True))
+    ratio = classify_ratio(e1, e2)
+    assume(ratio is not RatioClass.POSITIVE_RATIONAL)  # no terminal point
+    assert reduce2d._SADDLE_NODAL_OF_RATIO[ratio] is classify_saddle_nodal((e2, -e1))
+
+
+@pytest.mark.parametrize("texts, d, sn", [
+    (["2*y", "3*x"], 0, SaddleNodal.REAL_SADDLE),
+    (["y", "-sqrt(2)*x"], 2, SaddleNodal.NODAL),
+    (["x+y", "y-x"], 0, SaddleNodal.COMPLEX_SADDLE),
+])
+def test_terminal_kind_classifies_one_ratio(texts, d, sn, monkeypatch):
+    calls = []
+
+    def counted(x, y):
+        calls.append((x, y))
+        return classify_ratio(x, y)
+    monkeypatch.setattr(reduce2d, "classify_ratio", counted)
+    monkeypatch.setattr(classify, "classify_ratio", counted)
+    terminal, (_, _, got, _) = _terminal_kind(form(texts, d), {})
+    assert terminal and got is sn
+    assert len(calls) == 1
