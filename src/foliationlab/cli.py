@@ -23,8 +23,8 @@ from .blowup import BlowupAtlas, CenterSpec, detect_dicritical
 from .classify import (classify_point, degree_identity_check, monomial_probe,
                        multiplicity, restrict_to_exceptional)
 from .divisorgraph import DivisorGraph, from_atlas
-from .errors import FoliationLabError, InvalidGraph, ScenarioError
-from .field import FieldElement
+from .errors import FoliationLabError, InvalidGraph, NumberTooLong, ScenarioError
+from .field import FieldElement, decimal
 from .forms import saturate
 from .holonomy import (lemma4_constant, lemma4_reach_check, loop_multiplier,
                        nodal_first_integral_drift, rk4_lift_path, saturation_probe,
@@ -46,7 +46,7 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
     if isinstance(obj, Fraction):
-        return str(obj)
+        return decimal(obj)
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, FieldElement):
@@ -228,24 +228,27 @@ def run_scenario(scenario, analyses=None):
     artifacts = {}
     violations = []
     for name in sc.analyses:
-        if name == "classify":
-            report["analyses"][name] = analysis_classify(sc, sc.form)
-        elif name == "dicritical":
-            report["analyses"][name] = analysis_dicritical(sc, sc.form)
-        elif name == "reduce2d":
-            rep, tree = analysis_reduce2d(sc, sc.form)
-            report["analyses"][name] = rep
-            artifacts["reduction.dot"] = tree.to_dot
-        elif name == "graph":
-            rep, graph, v = analysis_graph(sc, sc.form)
-            report["analyses"][name] = rep
-            violations.extend(v)
-            artifacts["graph.dot"] = graph.to_dot
-        else:  # "holonomy", the one name left that check() admits
-            rep, csvs = analysis_holonomy(sc)
-            report["analyses"][name] = rep
-            for bname, csv in csvs:
-                artifacts[f"{bname}.csv"] = csv
+        try:
+            if name == "classify":
+                report["analyses"][name] = analysis_classify(sc, sc.form)
+            elif name == "dicritical":
+                report["analyses"][name] = analysis_dicritical(sc, sc.form)
+            elif name == "reduce2d":
+                rep, tree = analysis_reduce2d(sc, sc.form)
+                report["analyses"][name] = rep
+                artifacts["reduction.dot"] = tree.to_dot
+            elif name == "graph":
+                rep, graph, v = analysis_graph(sc, sc.form)
+                report["analyses"][name] = rep
+                violations.extend(v)
+                artifacts["graph.dot"] = graph.to_dot
+            else:  # "holonomy", the one name left that check() admits
+                rep, csvs = analysis_holonomy(sc)
+                report["analyses"][name] = rep
+                for bname, csv in csvs:
+                    artifacts[f"{bname}.csv"] = csv
+        except NumberTooLong as e:
+            raise NumberTooLong(f"{name}: {e}") from None
     report["violations"] = violations
     exit_code = 2 if violations else 0
     return report, exit_code, artifacts

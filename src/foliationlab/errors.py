@@ -115,12 +115,23 @@ class PathTooLong(StepTooLarge):
     """
 
 
+class NonFiniteIntegral(FoliationLabError):
+    """A nodal first integral, or its drift along a lift, that is no finite
+    float: the weights are so large that the sum of their logarithm terms
+    overflows."""
+
+
 class BadParameters(FoliationLabError):
     pass
 
 
 class ScenarioError(FoliationLabError):
     pass
+
+
+class NumberTooLong(FoliationLabError):
+    """An exact value too long to write in decimal: a component has more
+    digits than the interpreter converts from int to str."""
 
 
 class RootIsolationFailed(FoliationLabError):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import DivisionByZero, FieldParseError, ZeroEntry
+from .errors import DivisionByZero, FieldParseError, NumberTooLong, ZeroEntry
 
 
 @lru_cache(maxsize=None)  # every FieldElement asks; trial division runs once per d
@@ -26,6 +26,16 @@ def is_square_free(d: int) -> bool:
             return False
         k += 1
     return True
+
+
+def decimal(x):
+    """str(x) of an int or a Fraction; NumberTooLong when x has more digits
+    than the interpreter converts to a string."""
+    try:
+        return str(x)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise NumberTooLong("a value has more decimal digits than a report can "
+                            "hold") from None
 
 
 class Sign(Enum):
@@ -214,26 +224,24 @@ class FieldElement:
 
     def __str__(self):
         parts = []
-
-        def q(f):
-            return str(f)
-
         if self.ar or self.ai:
             if self.ai:
                 if self.ar:
-                    parts.append(f"({q(self.ar)}{'+' if self.ai > 0 else '-'}{q(abs(self.ai))}*i)")
+                    parts.append(f"({decimal(self.ar)}{'+' if self.ai > 0 else '-'}"
+                                 f"{decimal(abs(self.ai))}*i)")
                 else:
-                    parts.append(f"{q(self.ai)}*i")
+                    parts.append(f"{decimal(self.ai)}*i")
             else:
-                parts.append(q(self.ar))
+                parts.append(decimal(self.ar))
         if self.br or self.bi:
             if self.bi:
                 if self.br:
-                    coeff = f"({q(self.br)}{'+' if self.bi > 0 else '-'}{q(abs(self.bi))}*i)"
+                    coeff = (f"({decimal(self.br)}{'+' if self.bi > 0 else '-'}"
+                             f"{decimal(abs(self.bi))}*i)")
                 else:
-                    coeff = f"{q(self.bi)}*i"
+                    coeff = f"{decimal(self.bi)}*i"
             else:
-                coeff = q(self.br)
+                coeff = decimal(self.br)
             if coeff == "1":
                 parts.append(f"sqrt({self.d})")
             elif coeff == "-1":

@@ -14,7 +14,8 @@ import random
 import sys
 from collections import deque
 
-from .errors import BadParameters, LeftDomain, PathTooLong, StepTooLarge, ZeroLambda
+from .errors import (BadParameters, LeftDomain, NonFiniteIntegral, PathTooLong, StepTooLarge,
+                     ZeroLambda)
 
 
 class LinearModel:
@@ -32,6 +33,7 @@ class LinearModel:
         self.delta = float(delta)
         if not self.delta > 0:
             raise BadParameters("the polydisc radius must be positive")
+        self.bound = self.delta * (1 + 1e-9)  # the radius the polydisc guard admits
         self.perturbations = perturbations or (None,) * self.tau
         self.weights = tuple(float(r) for r in weights) if weights else None
         self.split = split
@@ -40,6 +42,9 @@ class LinearModel:
                 raise BadParameters("nodal split must satisfy 1 <= k < tau")
             if any(r <= 0 for r in self.weights):
                 raise BadParameters("nodal weights must be positive")
+            # r_i for i < k and -r_i for i >= k, the weights of the first integral
+            self.signed_weights = tuple(r if i < self.split else -r
+                                        for i, r in enumerate(self.weights))
 
     @classmethod
     def nodal(cls, weights, split, delta=1.0):
@@ -61,9 +66,8 @@ class LinearModel:
         if any(v == 0 for v in point):
             raise LeftDomain("the first integral is undefined on the divisor")
         out = 0.0
-        for i, r in enumerate(self.weights):
-            s = 1.0 if i < self.split else -1.0
-            out += s * r * math.log(abs(point[i]))
+        for w, v in zip(self.signed_weights, point):
+            out += w * math.log(abs(v))
         return out
 
 
@@ -83,8 +87,14 @@ DEFAULT_CONFIG = NumericConfig()
 # base paths: t in [0, 1] -> (value, derivative) per moving coordinate
 #
 # Each constructor below makes a log-affine path, x(t) = exp(a + d t), and
-# records (a, d) as its log_affine attribute; lift_path reads d.
+# records (a, d, value) as its log_affine attribute, where value(a, d, t) is
+# x(t) as the path computes it; the closed form of a lift reads all three.
 # ---------------------------------------------------------------------------
+
+def _exp_affine(a, d, t):
+    """exp(a + d t), the value of a spiral at t."""
+    return cmath.exp(a + d * t)
+
 
 def circle_path(alpha, turns=1):
     """x(t) = alpha * exp(2 pi i * turns * t)."""
@@ -96,22 +106,28 @@ def circle_path(alpha, turns=1):
         v = alpha * cmath.exp(w * t)
         return v, w * v
     f.length = abs(alpha) * 2 * math.pi * abs(turns)
-    f.log_affine = (cmath.log(alpha), w)
+    f.log_affine = (cmath.log(alpha), w, lambda a, d, t: alpha * cmath.exp(d * t))
     return f
+
+
+def _spiral(start, end, turns):
+    """(a, d, length) of the spiral from start to end with `turns` extra turns."""
+    a = cmath.log(start)
+    d = cmath.log(end) + 2j * math.pi * turns - a
+    return a, d, abs(d) * max(abs(start), abs(end))
 
 
 def spiral_path(start, end, turns=0):
     """Logarithmic spiral from start to end winding `turns` extra times."""
     if start == 0 or end == 0:
         raise BadParameters("spiral endpoints must avoid the divisor")
-    a = cmath.log(start)
-    d = cmath.log(end) + 2j * math.pi * turns - a
+    a, d, length = _spiral(start, end, turns)
 
     def f(t):
         v = cmath.exp(a + d * t)
         return v, d * v
-    f.length = abs(d) * max(abs(start), abs(end))
-    f.log_affine = (a, d)
+    f.length = length
+    f.log_affine = (a, d, _exp_affine)
     return f
 
 
@@ -122,7 +138,7 @@ def constant_path(value):
     def f(t):
         return value, 0.0
     f.length = 0.0
-    f.log_affine = (cmath.log(value), 0.0)
+    f.log_affine = (cmath.log(value), 0.0, lambda a, d, t: value)
     return f
 
 
@@ -135,18 +151,22 @@ def constant_path(value):
 MAX_RK4_STEPS = 10 ** 6
 
 
-def _step_count(paths, start, config):
-    """The RK4 step count n of a lift, after the checks every lift makes
-    before it moves: LeftDomain for a start on the divisor, PathTooLong and
-    StepTooLarge."""
+def _length(paths):
+    return sum(getattr(p, "length", 1.0) for p in paths.values())
+
+
+def _step_count(length, start, config):
+    """The RK4 step count n of a lift along paths of total length `length`,
+    after the checks every lift makes before it moves: LeftDomain for a
+    start on the divisor, PathTooLong and StepTooLarge."""
     if start == 0:
         raise LeftDomain("start value lies on the divisor")
-    length = sum(getattr(p, "length", 1.0) for p in paths.values())
     if length > config.max_length:
         raise PathTooLong(f"path length {length:.3g} exceeds the configured bound")
-    if max(length, 1.0) / config.step > MAX_RK4_STEPS:
+    span = max(length, 1.0) / config.step
+    if span > MAX_RK4_STEPS:
         raise StepTooLarge(f"the lift needs more than {MAX_RK4_STEPS} RK4 steps")
-    return max(16, int(math.ceil(max(length, 1.0) / config.step)))
+    return max(16, int(math.ceil(span)))
 
 
 def _check_inside(u, xs, bound):
@@ -157,8 +177,13 @@ def _check_inside(u, xs, bound):
         inside = cmath.isfinite(u) and math.exp(u.real) <= bound
     except OverflowError:  # so far out that e^u is no float
         inside = False
-    if not (inside and all(abs(v) <= bound for v in xs)):
-        raise LeftDomain("lifted path exited the polydisc or is no finite number")
+    if inside:
+        for v in xs:
+            if not abs(v) <= bound:
+                break
+        else:
+            return
+    raise LeftDomain("lifted path exited the polydisc or is no finite number")
 
 
 def _unperturbed(model, paths, fiber):
@@ -175,16 +200,17 @@ def _lift_steps(model, paths, fiber, start, config):
     (s + 1/2) h, shared by k2 and k3, and at the end (s + 1) h, which is the
     next step's start.  When no moving or fiber coefficient is perturbed the
     slope -sum_i lam_i (x_i'/x_i) / lam_f does not depend on u, so k2 = k3
-    and the end slope is the next step's k1.  The polydisc guard runs after
-    every step.
+    and the end slope is the next step's k1; the node values then come in
+    one list that each step overwrites.  The polydisc guard runs after every
+    step.
     """
-    n = _step_count(paths, start, config)
+    n = _step_count(_length(paths), start, config)
     h = 1.0 / n
     h6 = h / 6
     index = list(paths)
     terms = [(model.lam[i], p) for i, p in paths.items()]
     lam_f = model.lam[fiber]
-    bound = model.delta * (1 + 1e-9)
+    bound = model.bound
 
     def node(t):
         """Moving coordinates at t and their log-derivatives x_i'/x_i."""
@@ -209,35 +235,38 @@ def _lift_steps(model, paths, fiber, start, config):
             raise ZeroLambda("fiber coefficient vanished along the path")
         return -num / den
 
-    unperturbed = _unperturbed(model, paths, fiber)
     u = cmath.log(start)
     xs, ws = node(0.0)
     k1 = slope(xs, ws, u)
     yield xs, u
-    for s in range(n):
-        tm, te = (s + 0.5) * h, (s + 1) * h
-        if unperturbed:
-            # written out rather than through node() and slope(): the slope
-            # depends on t alone, so one evaluation per node suffices
+    if _unperturbed(model, paths, fiber):
+        # written out rather than through node() and slope(): the slope
+        # depends on t alone, so one evaluation per node suffices
+        xs = [0.0] * len(terms)
+        for s in range(n):
+            tm, te = (s + 0.5) * h, (s + 1) * h
             num_m = num_e = 0.0
-            xs = []
-            for lam, p in terms:
+            for j, (lam, p) in enumerate(terms):
                 v, dv = p(tm)
                 num_m += lam * (dv / v)
                 v, dv = p(te)
                 num_e += lam * (dv / v)
-                xs.append(v)
+                xs[j] = v
             k2, k4 = -num_m / lam_f, -num_e / lam_f
             u += h6 * (k1 + 4 * k2 + k4)
             k1 = k4
-        else:
-            k1 = slope(xs, ws, u)
-            xm, wm = node(tm)
-            xs, ws = node(te)
-            k2 = slope(xm, wm, u + h * k1 / 2)
-            k3 = slope(xm, wm, u + h * k2 / 2)
-            k4 = slope(xs, ws, u + h * k3)
-            u += h6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            _check_inside(u, xs, bound)
+            yield xs, u
+        return
+    for s in range(n):
+        tm, te = (s + 0.5) * h, (s + 1) * h
+        k1 = slope(xs, ws, u)
+        xm, wm = node(tm)
+        xs, ws = node(te)
+        k2 = slope(xm, wm, u + h * k1 / 2)
+        k3 = slope(xm, wm, u + h * k2 / 2)
+        k4 = slope(xs, ws, u + h * k3)
+        u += h6 * (k1 + 2 * k2 + 2 * k3 + k4)
         _check_inside(u, xs, bound)
         yield xs, u
 
@@ -251,19 +280,40 @@ def rk4_lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
     return cmath.exp(u)
 
 
+def _closed_form(terms, lam_f, length, start, bound, config):
+    """The end value of a lift along log-affine base paths of an unperturbed
+    model, with fiber residue lam_f and polydisc guard radius bound.
+
+    terms holds (lam_i, a_i, d_i, value_i) per moving coordinate, whose path
+    x_i(t) = exp(a_i + d_i t) is value_i(a_i, d_i, t), and length is the
+    paths' total length.  The fiber's logarithm then moves at the constant
+    rate u' = -sum_i lam_i d_i / lam_f, so the end value is
+    exp(u(0) + u').  Re u and log|x_i| are affine in t, so the polydisc
+    guard at the first and the last RK4 node, h and n h, covers every node
+    in between.  Raises as the RK4 kernel would, with the same step count n.
+    """
+    n = _step_count(length, start, config)
+    num = 0
+    for lam, _, d, _ in terms:
+        num += lam * d
+    rate = -num / lam_f
+    u0 = cmath.log(start)
+    for t in (1.0 / n, n * (1.0 / n)):
+        u = u0 + rate * t
+        _check_inside(u, [value(a, d, t) for _, a, d, value in terms], bound)
+    return cmath.exp(u)
+
+
 def lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
     """Lift a base path through omega(gamma') = 0; the end value of the fiber.
 
     paths maps each moving coordinate index to a base path; the fiber
     coordinate is followed in logarithmic form
         u' = - sum_i (lam_i + b_i) (x_i'/x_i) / (lam_f + b_f),  x_f = e^u.
-    When every path is log-affine, x_i(t) = exp(a_i + d_i t) (each carries
-    log_affine, as circle, spiral and constant paths do), and no moving or
-    fiber coefficient is perturbed, u' = -sum_i lam_i d_i / lam_f is
-    constant, and the end value is the closed form exp(u(0) + u').  Re u
-    and log|x_i| are then affine in t, so the polydisc guard at the first
-    and the last RK4 node, h and n h, covers every node in between.  Any
-    other lift is integrated by rk4_lift_path.
+    When every path is log-affine (each carries log_affine, as circle,
+    spiral and constant paths do) and no moving or fiber coefficient is
+    perturbed, u' is constant and the lift is the closed form of
+    _closed_form.  Any other lift is integrated by rk4_lift_path.
 
     Either route raises LeftDomain for a start on the divisor or a lift that
     leaves the polydisc, PathTooLong when the path is longer than
@@ -273,14 +323,8 @@ def lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
     if not (_unperturbed(model, paths, fiber)
             and all(hasattr(p, "log_affine") for p in paths.values())):
         return rk4_lift_path(model, paths, fiber, start, config)
-    n = _step_count(paths, start, config)
-    rate = -sum(model.lam[i] * p.log_affine[1] for i, p in paths.items()) / model.lam[fiber]
-    u0 = cmath.log(start)
-    bound = model.delta * (1 + 1e-9)
-    for t in (1.0 / n, n * (1.0 / n)):
-        u = u0 + rate * t
-        _check_inside(u, [p(t)[0] for p in paths.values()], bound)
-    return cmath.exp(u)
+    terms = [(model.lam[i], *p.log_affine) for i, p in paths.items()]
+    return _closed_form(terms, model.lam[fiber], _length(paths), start, model.bound, config)
 
 
 def loop_multiplier(lam, turns=1):
@@ -295,21 +339,35 @@ def loop_multiplier(lam, turns=1):
 
 
 def nodal_first_integral_drift(model, paths, fiber, start, config=DEFAULT_CONFIG):
-    """Max |log-drift| of the nodal first integral over every step of one lift."""
+    """Max |log-drift| of the nodal first integral over every step of one lift.
+
+    Raises NonFiniteIntegral when the first integral or its drift at some
+    node is no finite float."""
     if not model.is_nodal:
         raise BadParameters("drift check requires a nodal model")
     if sorted([*paths, fiber]) != list(range(model.tau)):
         raise BadParameters("drift check needs every coordinate moving or the fiber")
+    # (signed weight, position among the node values or None for the fiber)
+    # per coordinate, in index order, as first_integral_log sums them
+    position = {i: j for j, i in enumerate(paths)}
+    terms = [(w, position.get(i)) for i, w in enumerate(model.signed_weights)]
     base, drift = None, 0.0
     for xs, u in _lift_steps(model, paths, fiber, start, config):
-        pt = [0.0] * model.tau
-        for i, v in zip(paths, xs):
-            pt[i] = v
-        pt[fiber] = cmath.exp(u)
-        value = model.first_integral_log(pt)
+        xf = cmath.exp(u)
+        value = 0.0
+        for w, j in terms:
+            v = xf if j is None else xs[j]
+            if v == 0:
+                raise LeftDomain("the first integral is undefined on the divisor")
+            value += w * math.log(abs(v))
         if base is None:
             base = value
-        drift = max(drift, abs(value - base))
+        gap = abs(value - base)
+        if not gap <= drift:  # a larger gap, or NaN
+            if not gap < math.inf:
+                raise NonFiniteIntegral("the nodal first integral along the lift is no "
+                                        "finite float")
+            drift = gap
     return drift
 
 
@@ -338,13 +396,13 @@ def lemma4_reach_check(lam, rho, eps, trials=100, config=DEFAULT_CONFIG):
     transversal {x = alpha, |y| < eps}, alpha = 1/2, by an angular then a
     radial path; returns the fraction that arrive without exiting the unit
     polydisc.  The starts come from a generator seeded with 7.  Both legs
-    are spirals on an unperturbed model, so lift_path follows them by its
-    closed form and checks the polydisc guard at two nodes; nothing is
-    integrated.
+    are spirals on an unperturbed model, so each lift is the closed form of
+    lift_path with the polydisc guard at two nodes; nothing is integrated.
     """
     c = lemma4_constant(lam, rho, eps)
     alpha = 0.5
     model = LinearModel([lam, 1.0])
+    lam_x, lam_y = model.lam
     rng = random.Random(7)
     reached = 0
     for _ in range(trials):
@@ -356,11 +414,14 @@ def lemma4_reach_check(lam, rho, eps, trials=100, config=DEFAULT_CONFIG):
             y0 = c / 2
         try:
             # angular leg back to the positive real axis, then radial leg
-            y1 = lift_path(model, {0: spiral_path(x0, ra)}, 1, y0, config)
-            y2 = lift_path(model, {0: spiral_path(ra, alpha)}, 1, y1, config)
+            y = y0
+            for start, end in ((x0, ra), (ra, alpha)):
+                a, d, length = _spiral(start, end, 0)
+                y = _closed_form(((lam_x, a, d, _exp_affine),), lam_y, length, y,
+                                 model.bound, config)
         except LeftDomain:
             continue
-        if abs(y2) < eps:
+        if abs(y) < eps:
             reached += 1
     return {"constant": c, "reached": reached, "trials": trials,
             "fraction": reached / trials}
@@ -374,15 +435,15 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
     """Reachability of grid points from the transversal {x = alpha, |y| <= eps}.
 
     For each grid point (x_g, y_g) the probe solves for a start value on the
-    transversal along a spiral path with k extra turns, then confirms the
-    candidate with lift_path; it tries k lazily, best contraction first, and
-    stops at the first candidate confirmed.  For an unperturbed model that
-    confirmation is the closed form of the lift plus the polydisc guard at
-    the first and last RK4 node, not an integration.  Nodal models leave
-    exactly the points with first-integral value beyond the transversal
-    range unreached.  A candidate whose lift leaves the polydisc or whose
-    spiral is too long is skipped; a lift refused by the RK4 step cap
-    raises StepTooLarge.
+    transversal along the spiral from alpha to x_g with k extra turns, then
+    confirms the candidate by lifting that spiral; it tries k lazily, best
+    contraction first, and stops at the first candidate confirmed.  For an
+    unperturbed model the lift is the closed form of lift_path, built from
+    the spiral's log-affine data without making the path; a perturbed model
+    is integrated by rk4_lift_path.  Nodal models leave exactly the points
+    with first-integral value beyond the transversal range unreached.  A
+    candidate whose lift leaves the polydisc or whose spiral is too long is
+    skipped; a lift refused by the RK4 step cap raises StepTooLarge.
     """
     if model.tau != 2:
         raise BadParameters("the probe drives two-variable models")
@@ -393,30 +454,48 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
     if not cmath.isfinite(ratio):
         raise BadParameters(f"the residue ratio lam[0] / lam[1] = {ratio!r} is no "
                             "finite float")
+    # per-model constants; every spiral starts at alpha, so a = log alpha
+    lam_x, lam_y = model.lam
+    unperturbed = _unperturbed(model, (0,), 1)
+    a = cmath.log(alpha)
+    log_alpha = math.log(alpha)
+    abs_alpha = abs(alpha)
+    bound = model.bound
+    tol = max(config.tol * 1e3, 1e-6)
+    first_integral = model.first_integral_log if model.is_nodal else None
     records = []
     reached = 0
     for (xg, yg) in grid:
         if xg == 0 or yg == 0:
             raise LeftDomain("grid points must avoid the divisor")
         ok = False
-        base = cmath.log(xg) - math.log(alpha)
-        for k in _turn_candidates(ratio, alpha, xg, yg, eps):
-            shift = base + 2j * math.pi * k
+        log_x = cmath.log(xg)
+        base = log_x - log_alpha
+        reach = max(abs_alpha, abs(xg))
+        near = tol * max(1.0, abs(yg))
+        for k in _turn_candidates(ratio, base, yg, eps):
+            turn = 2j * math.pi * k
             try:
-                y_start = yg * cmath.exp(ratio * shift)
+                y_start = yg * cmath.exp(ratio * (base + turn))
             except (OverflowError, ValueError):  # beyond eps, or an infinite phase
                 continue
-            if abs(y_start) > eps or abs(y_start) == 0:
+            size = abs(y_start)
+            if size > eps or size == 0:
                 continue
-            path = {0: spiral_path(alpha, xg, turns=k)}
             try:
-                y_end = lift_path(model, path, 1, y_start, config)
+                if unperturbed:  # the spiral _spiral(alpha, xg, k), without the path
+                    d = log_x + turn - a
+                    y_end = _closed_form(((lam_x, a, d, _exp_affine),), lam_y,
+                                         abs(d) * reach, y_start, bound, config)
+                else:
+                    y_end = rk4_lift_path(model, {0: spiral_path(alpha, xg, turns=k)}, 1,
+                                          y_start, config)
             except (LeftDomain, PathTooLong):
                 continue
-            if abs(y_end - yg) <= max(config.tol * 1e3, 1e-6) * max(1.0, abs(yg)):
+            if abs(y_end - yg) <= near:
                 ok = True
                 break
-        fi = model.first_integral_log((xg, yg)) if model.is_nodal else None
+        fi = first_integral((xg, yg)) if first_integral else None
         records.append({"x": xg, "y": yg, "reached": ok, "first_integral_log": fi})
         reached += ok
     return {"fraction": reached / len(records) if records else 1.0,
@@ -427,17 +506,17 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
 MAX_TURNS = 40  # the probe tries spirals of at most this many turns
 
 
-def _turn_candidates(ratio, alpha, xg, yg, eps):
-    """Winding numbers worth trying, best contraction first: k0, then
-    k0 + 1, k0 - 1, ..., k0 + MAX_TURNS - 1, k0 - MAX_TURNS + 1, keeping
-    those with |k| <= MAX_TURNS, or 0 alone when none is kept.  A generator,
-    so the probe computes no candidate past the first it accepts."""
+def _turn_candidates(ratio, base, yg, eps):
+    """Winding numbers worth trying at the grid point (x_g, y_g), where
+    base = log x_g - log alpha, best contraction first: k0, then k0 + 1,
+    k0 - 1, ..., k0 + MAX_TURNS - 1, k0 - MAX_TURNS + 1, keeping those with
+    |k| <= MAX_TURNS, or 0 alone when none is kept.  A generator, so the
+    probe computes no candidate past the first it accepts."""
     if abs(ratio.imag) < 1e-12:
         yield 0
         return
     # |y_start| = |yg| * exp(Re(ratio * shift)); extra turns scale it by
     # exp(-2 pi Im(ratio) k), so aim k at the value that lands inside eps
-    base = (cmath.log(xg) - math.log(alpha))
     target = math.log(eps / 2) - math.log(abs(yg)) - (ratio * base).real
     k = target / (-2 * math.pi * ratio.imag)
     if not math.isfinite(k):  # no winding number aims at an infinite target

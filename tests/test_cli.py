@@ -294,6 +294,18 @@ def test_probe_does_not_hide_the_step_cap(tmp_path, capsys):
     assert err.startswith("error: holonomy.blocks[0]") and "RK4 steps" in err
 
 
+def test_drift_of_an_overflowing_first_integral_exits_one(tmp_path, capsys):
+    # weights near the float maximum make the first integral -inf at every
+    # node; its drift once read 0.0
+    drift = {"kind": "drift", "model": {"weights": [1e308, 1e307], "split": 1},
+             "paths": [{"index": 0, "kind": "spiral", "start": 0.1, "end": 0.1000001}],
+             "fiber": 1, "start": 0.1}
+    assert _run_holonomy(tmp_path, [drift]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: holonomy.blocks[0]: ") and "first integral" in err
+    assert out == ""
+
+
 # (changes to the log_corner_3d scenario, text the error must contain)
 BAD_FORMS = {
     "dimension_true": ({"dimension": True}, "'dimension'"),

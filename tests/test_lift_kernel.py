@@ -3,12 +3,14 @@ form of lift_path against both."""
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import os
 import subprocess
 import sys
 
+import frozen_holonomy
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -134,9 +136,13 @@ def _probe_scenario(n):
 
 
 def test_probe_reached_flags_match_reference(monkeypatch):
+    # the probe builds its closed-form lifts itself, so the reference is
+    # the frozen probe confirming each candidate with the scalar RK4 loop
     scenarios = [_probe_scenario(5), _probe_scenario(20)]
     results = [cli.analysis_holonomy(scenario) for scenario in scenarios]
-    monkeypatch.setattr(holonomy, "lift_path", reference_lift_path)
+    monkeypatch.setattr(cli, "saturation_probe",
+                        functools.partial(frozen_holonomy.saturation_probe,
+                                          lift=reference_lift_path))
     for scenario, (report, csvs) in zip(scenarios, results):
         ref_report, ref_csvs = cli.analysis_holonomy(scenario)
         assert [name for name, _ in csvs] == ["complex_saddle", "real_saddle", "nodal"]

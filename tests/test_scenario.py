@@ -67,6 +67,10 @@ MALFORMED = {
                         "holonomy.blocks[7]: a grid has at most"),
     "huge_reach_check": ("holonomy_suite.json", ["holonomy", "blocks", 6, "trials"], 10 ** 7,
                          "holonomy.blocks[6]: 'trials' must be from 1 to 10000"),
+    # parses under the power caps, but its residue has more digits than
+    # the interpreter writes as a string
+    "residue_too_long_to_render": ("saddle_node.json", ["form", "coefficients"],
+                                   ["(2^20000)*y", "x"], "error: classify: "),
 }
 # file contents that are no scenario: (bytes, or None for no file, or "dir")
 RAW = {
@@ -229,7 +233,8 @@ def test_connected_groups_keep_the_order_of_their_first_curve():
 # schema refuses, so no long lift ever starts.
 LONG_RUNNING = {"step", "max_length", "turns", "trials", "nx", "ny"}
 REFUSED = [None, True, "x", [], {}, NAN, INF, -INF]
-VALUES = REFUSED + [False, 0, -1, 7, 10 ** 30, 10 ** 400, [1], {"a": 1}]
+VALUES = REFUSED + [False, 0, -1, 7, 10 ** 30, 10 ** 400, [1], {"a": 1},
+                    "(2^20000)*y"]  # a coefficient whose residues are too long to render
 # floats at the ends of their range, drawn for holonomy fields
 EXTREME = [5e-324, 1e-308, 1e308, -1e308]
 
