@@ -398,7 +398,7 @@ def _connected_groups(nodes, links):
 
 def _generic_ratio_class(p: Polynomial, q: Polynomial):
     """Ratio class of p/q at a generic parameter value, decided symbolically."""
-    from .field import RatioClass, classify_ratio
+    from .field import RatioClass, ratio_class
     if q.is_zero():
         return RatioClass.UNDEFINED, None
     if p.is_zero():
@@ -410,7 +410,7 @@ def _generic_ratio_class(p: Polynomial, q: Polynomial):
         quot = None
     if quot is not None and quot.is_constant():
         c = quot.constant_term()
-        return classify_ratio(c, FieldElement(p.d, 1)), c
+        return ratio_class(c), c
     # a non-constant holomorphic ratio takes non-real values generically
     return RatioClass.NOT_REAL, None
 

@@ -342,11 +342,9 @@ def _gaussian_sqrt(xr: Fraction, xi: Fraction):
     return (u, v)
 
 
-def classify_ratio(x: FieldElement, y: FieldElement) -> RatioClass:
-    """Classification of x/y following the saddle/nodal dichotomy."""
-    if y.is_zero():
-        return RatioClass.UNDEFINED
-    r = x / y
+def ratio_class(r: FieldElement) -> RatioClass:
+    """Class of an already formed ratio r following the saddle/nodal
+    dichotomy; UNDEFINED for r = 0."""
     s = r.reality_sign()
     if s is Sign.NOT_REAL:
         return RatioClass.NOT_REAL
@@ -355,6 +353,13 @@ def classify_ratio(x: FieldElement, y: FieldElement) -> RatioClass:
     if r.is_rational():
         return RatioClass.POSITIVE_RATIONAL if s is Sign.POSITIVE else RatioClass.NEGATIVE_RATIONAL
     return RatioClass.POSITIVE_IRRATIONAL if s is Sign.POSITIVE else RatioClass.NEGATIVE_IRRATIONAL
+
+
+def classify_ratio(x: FieldElement, y: FieldElement) -> RatioClass:
+    """Classification of x/y following the saddle/nodal dichotomy."""
+    if y.is_zero():
+        return RatioClass.UNDEFINED
+    return ratio_class(x / y)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ empty term map.  Up to three variables, named x, y, z (aliases x1, x2, x3).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -436,37 +437,13 @@ def poly_gcd(p: Polynomial, q: Polynomial) -> Polynomial:
     return (poly_gcd(cp, cq) * pp).monic()
 
 
-# The coprimality certificate in gcd_many sets every variable but the kept one
-# to the integer at its index in one of these points, tried in order until one
-# keeps the kept variable's leading coefficient and gives coprime images; the
-# number of points is the trial count.  A point fails when the line it fixes
-# meets a common zero, so zero is left out: the germs are singular at the
-# origin.  On the benchmark workloads (seeds 1-3) the first point proves every
-# shared variable but one each on seeds 1 and 2, which the second proves; on
-# 5323 shared variables of random coprime pairs with small integer
-# coefficients the third point was needed twice and a fourth never.
-SPECIALIZATION_POINTS = ((2, 3, 5), (3, -2, 7), (-5, 7, -3))
-
-
-def _specialize(p, k, point):
-    """Dense coefficient list in x_k of p with every other x_j set to point[j]
-    ([] when that gives zero)."""
-    for j in range(p.nvars):
-        if j != k:
-            p = p.set_var(j, FieldElement(p.d, point[j]))
-    return p.univariate_coefficients(k)
-
-
 def _univariate_gcd(a, b):
     """gcd(a, b) by Euclid over the field, for dense coefficient lists with a
     nonzero; each divisor is made monic first, so the gcd is monic when b is
     nonzero.
 
-    poly_gcd on the images gives the same degree, but its pseudo-remainders
-    are never made monic and their coefficients grow: root saturation of the
-    147 plane_reduction germs of seeds 1-3 took 0.75 s with it against
-    0.27 s with this loop, and a plane_reduction pass 3.02 s against 2.77 s
-    (medians of six alternating runs, 2 vCPUs).
+    poly_gcd on the same lists gives the gcd up to a unit, but its
+    pseudo-remainders are never made monic and their coefficients grow.
     """
     while b:
         inv = b[-1].inverse()
@@ -482,32 +459,185 @@ def _univariate_gcd(a, b):
     return a
 
 
-def _univariate_gcd_degree(a, b):
-    """Degree of gcd(a, b), for dense coefficient lists with a nonzero."""
-    return len(_univariate_gcd(a, b)) - 1
+# ---------------------------------------------------------------------------
+# Coprimality certificate over a prime field
+# ---------------------------------------------------------------------------
+
+# The certificate sets every variable but the kept one to the integer at its
+# index in one of these points, tried in order until one keeps the kept
+# variable's leading coefficient and gives coprime images; the number of
+# points is the trial count.  A point fails when the line it fixes meets a
+# common zero, so zero is left out: the germs are singular at the origin.  On
+# the benchmark workloads (seeds 1-3) the first point proves every shared
+# variable but one each on seeds 1 and 2, which the second proves; on 5323
+# shared variables of random coprime pairs with small integer coefficients
+# the third point was needed twice and a fourth never.
+SPECIALIZATION_POINTS = ((2, 3, 5), (3, -2, 7), (-5, 7, -3))
+
+# Certificate primes are scanned upward from here: a prime this large rarely
+# divides a denominator or a leading coefficient's image, so an unlucky prime
+# is rare.
+_PRIME_FLOOR = 1 << 31
+# Miller-Rabin with these bases decides primality exactly below 3215031751,
+# and the scan stops at its second hit far below that.
+_MILLER_RABIN_BASES = (2, 3, 5, 7)
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin for odd n > 7 below 3215031751."""
+    s, t = 0, n - 1
+    while not t & 1:
+        s, t = s + 1, t >> 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, t, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _sqrt_mod(a, prime):
+    """A square root of a modulo an odd prime, by Tonelli-Shanks; ValueError
+    when a is no square there."""
+    a %= prime
+    if pow(a, (prime - 1) // 2, prime) != 1:
+        if a:
+            raise ValueError(f"{a} is not a square modulo {prime}")
+        return 0
+    s, t = 0, prime - 1
+    while not t & 1:
+        s, t = s + 1, t >> 1
+    z = 2
+    while pow(z, (prime - 1) // 2, prime) != prime - 1:
+        z += 1
+    c, x, b = pow(z, t, prime), pow(a, (t + 1) // 2, prime), pow(a, t, prime)
+    while b != 1:
+        # the least i with b^(2^i) = 1; i < s because b is a square's image
+        i, b2 = 0, b
+        while b2 != 1:
+            b2, i = b2 * b2 % prime, i + 1
+        c2 = pow(c, 1 << (s - i - 1), prime)
+        s, c = i, c2 * c2 % prime
+        x, b = x * c2 % prime, b * c % prime
+    return x
+
+
+@lru_cache(maxsize=None)  # a few discriminants per process; scanned once each
+def _certificate_primes(d):
+    """The first two primes P = 1 (mod 4) from _PRIME_FLOOR up with P not
+    dividing d and d a square mod P, each as (P, iota, sigma): iota^2 = -1 and
+    sigma^2 = d mod P, the images of i and sqrt(d) (sigma = 0 for d = 0)."""
+    out = []
+    n = _PRIME_FLOOR + 1
+    while len(out) < 2:
+        if _is_prime(n) and (d == 0 or pow(d, (n - 1) // 2, n) == 1):
+            out.append((n, _sqrt_mod(-1, n), _sqrt_mod(d, n)))
+        n += 4
+    return tuple(out)
+
+
+def _residues(p, prime, iota, sigma):
+    """The terms of p as (exponents, coefficient mod P) under i -> iota and
+    sqrt(d) -> sigma; None when a denominator is divisible by P."""
+    out = []
+    for e, c in p.terms.items():
+        value = 0
+        for x, unit in ((c.ar, 1), (c.ai, iota), (c.br, sigma), (c.bi, iota * sigma)):
+            if x:
+                num, den = x.numerator, x.denominator
+                if den != 1:
+                    if not den % prime:
+                        return None
+                    num *= pow(den, -1, prime)
+                value += num * unit
+        out.append((e, value % prime))
+    return out
+
+
+def _image(residues, k, point, prime):
+    """Dense coefficient list in x_k mod P of the residue terms with every
+    other x_j set to point[j]; trailing zeros stripped."""
+    out = [0] * (max(e[k] for e, _ in residues) + 1)
+    for e, c in residues:
+        for j, ej in enumerate(e):
+            if ej and j != k:
+                c *= point[j] ** ej
+        out[e[k]] += c
+    out = [c % prime for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _gcd_degree_mod(a, b, prime):
+    """Degree of gcd(a, b) over F_P, for dense coefficient lists mod P with a
+    nonzero; the same Euclid as _univariate_gcd."""
+    while b:
+        inv = pow(b[-1], -1, prime)
+        b = [c * inv % prime for c in b]
+        a = list(a)
+        while len(a) >= len(b):
+            top, shift = a.pop(), len(a) - len(b) + 1
+            for i, c in enumerate(b[:-1]):
+                a[shift + i] = (a[shift + i] - top * c) % prime
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) - 1
 
 
 def _proved_coprime(p, q):
     """True only when the nonzero p and q have no non-constant common factor.
 
     For each variable x_k in both, every other variable is set to an integer
-    point where lc_k(p), the leading coefficient of p in x_k, does not vanish,
-    and Euclid runs on the two univariate images.  Why a gcd of degree 0 at
-    one such point for every such x_k proves gcd(p, q) = 1: a common factor g
-    has vars(g) within vars(p) and vars(q).  From p = g h, lc_k(g) lc_k(h) =
-    lc_k(p), which does not vanish at the point, so g's image keeps its
-    x_k-degree and divides both images; that degree is therefore 0, so g
-    involves none of the shared variables and is constant.  False (no point
-    gave coprime images for some x_k: unlucky points or a real common factor)
-    proves nothing.
+    point, the two images are mapped into F_P, and Euclid runs there.  A prime
+    proves nothing at a point when a denominator of p or q is divisible by P
+    or when the image of lc_k(p), the leading coefficient of p in x_k, is 0
+    mod P; then the second prime is tried, then the next point.  Why a gcd of
+    degree 0 mod P at one point for every such x_k proves gcd(p, q) = 1:
+
+    1. Over K = Q(i, sqrt(d)).  A common factor g has vars(g) within vars(p)
+       and vars(q).  From p = g h, lc_k(g) lc_k(h) = lc_k(p), whose value at
+       the point is nonzero because its image mod P is, so g's image keeps
+       its x_k-degree and divides the K-images of p and q.
+    2. Over F_P.  The map i -> iota, sqrt(d) -> sigma on the elements of K
+       whose denominators are prime to P is a ring map onto F_P.  Since P does
+       not divide 2d, P is unramified in K, so its kernel is a prime ideal
+       whose local ring R is a DVR.  The K-image of p lies in R[x_k] with a
+       unit leading coefficient.  By Gauss's lemma over R, a divisor of it
+       scaled to be primitive has its cofactor in R[x_k] and a unit leading
+       coefficient, so its reduction keeps its degree and divides both
+       images mod P.
+
+    So coprime images mod P make the K-images coprime, g's image has degree
+    0, g involves none of the shared variables, and g is constant.  False (no
+    point gave coprime images for some x_k: unlucky points or primes, or a
+    real common factor) proves nothing.
     """
     shared = set(p.appearing_variables()) & set(q.appearing_variables())
+    reduced = {}
     for k in shared:
         deg = p.degree_in(k)
         for point in SPECIALIZATION_POINTS:
-            pk = _specialize(p, k, point)
-            if len(pk) == deg + 1 and \
-                    _univariate_gcd_degree(pk, _specialize(q, k, point)) == 0:
+            degree = None
+            for prime, iota, sigma in _certificate_primes(p.d):
+                if prime not in reduced:
+                    reduced[prime] = (_residues(p, prime, iota, sigma),
+                                      _residues(q, prime, iota, sigma))
+                rp, rq = reduced[prime]
+                if rp is None or rq is None:
+                    continue
+                pk = _image(rp, k, point, prime)
+                if len(pk) != deg + 1:
+                    continue
+                degree = _gcd_degree_mod(pk, _image(rq, k, point, prime), prime)
+                break
+            if degree == 0:
                 break
         else:
             return False
@@ -524,8 +654,8 @@ def gcd_many(polys):
        the gcd is their monomial content (the componentwise least exponent
        over all their terms): a monomial's only divisors are monomials.
     2. Coprimality certificate.  When some pair of the nonzero inputs is
-       proved coprime by univariate specialization (`_proved_coprime`), the
-       gcd is 1.
+       proved coprime by univariate images over a prime field
+       (`_proved_coprime`), the gcd is 1.
     3. Otherwise poly_gcd runs pairwise, so the result is always exact.
     """
     polys = list(polys)

@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .blowup import CenterSpec, blow_up_germ
-from .classify import (PointKind, SaddleNodal, camacho_sad_index,
-                       linear_part_matrix)
+from .classify import PointKind, SaddleNodal, linear_part_matrix
 from .errors import (DepthExceeded, DimensionError, IncompleteTree,
                      NonRationalEigenvalues, NonRationalSingularPoint,
                      SaddleNodeUnsupported, ZeroForm)
-from .field import (FieldElement, RatioClass, classify_ratio, field_sqrt,
-                    nonresonant)
+from .field import (FieldElement, RatioClass, field_sqrt, nonresonant,
+                    ratio_class)
 from .forms import OneForm, invariant_axis, saturate, singular_at_origin
 from .poly import VARNAMES, gcd_many
 from .solve import univariate_roots
@@ -31,6 +30,9 @@ class Leaf:
     residues: tuple | None          # (alpha_x, alpha_y) attached to the local axes
     axes: dict                      # local variable -> exceptional component id
     saddle_nodal: SaddleNodal | None = None
+    # e1 / e2 = -alpha_y / alpha_x, the Camacho-Sad index along {x = 0}; its
+    # inverse is the index along {y = 0}.  None where residues is None.
+    ratio: FieldElement | None = None
     notes: tuple = ()
 
 
@@ -46,20 +48,14 @@ class ReductionTree:
         return all(l.kind is not PointKind.SADDLE_NODE for l in self.leaves)
 
     def nodal_separators(self):
-        """Leaves conjugated to x dy - lam y dx with lam positive irrational."""
-        out = []
-        for l in self.leaves:
-            if l.residues is None:
-                continue
-            ax, ay = l.residues
-            if ax is None or ay is None or ay.is_zero():
-                continue
-            if classify_ratio(ax, ay) is RatioClass.NEGATIVE_IRRATIONAL:
-                lam = -ax / ay
-                if lam.reality_sign().value != "Positive":
-                    lam = -ay / ax
-                out.append({"path": l.path, "lambda": lam, "axes": dict(l.axes)})
-        return out
+        """Leaves conjugated to x dy - lam y dx with lam positive irrational.
+
+        These are the nodal leaves: alpha_x / alpha_y = -1 / ratio is a
+        negative irrational exactly when ratio is a positive irrational, and
+        lam = -alpha_x / alpha_y = 1 / ratio is then positive.
+        """
+        return [{"path": l.path, "lambda": l.ratio.inverse(), "axes": dict(l.axes)}
+                for l in self.leaves if l.saddle_nodal is SaddleNodal.NODAL]
 
     def cs_sum_audit(self):
         """Per-component check: sum of indices = self-intersection."""
@@ -79,9 +75,9 @@ class ReductionTree:
                 if l.kind is PointKind.SADDLE_NODE:
                     raise SaddleNodeUnsupported(
                         f"saddle-node on component {cid}; index undefined")
-                if l.kind is PointKind.NON_SINGULAR_NC or l.residues is None:
+                if l.ratio is None:
                     continue
-                idx = camacho_sad_index(l.residues, branch)
+                idx = l.ratio if branch == 0 else l.ratio.inverse()
                 total = total + idx
                 points.append({"path": l.path, "index": idx})
             report[cid] = {
@@ -206,20 +202,23 @@ _SADDLE_NODAL_OF_RATIO = {
 def _terminal_kind(form, axes):
     """Classify a germ already known to be terminal (or decide it is not).
 
-    Returns (is_terminal, Leaf fields) following the eigenvalue criterion.
+    Returns (is_terminal, Leaf fields) following the eigenvalue criterion;
+    the fields are (kind, residues, saddle_nodal, ratio, notes), with ratio
+    the eigenvalue ratio e1 / e2, formed once here.
     """
     if not singular_at_origin(form):
-        return True, (PointKind.NON_SINGULAR_NC, None, None, ())
+        return True, (PointKind.NON_SINGULAR_NC, None, None, None, ())
     m = linear_part_matrix(form)
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     tr = m[0][0] + m[1][1]
     if det.is_zero():
         if tr.is_zero():
             return False, None
-        return True, (PointKind.SADDLE_NODE, None, None, ())
+        return True, (PointKind.SADDLE_NODE, None, None, None, ())
     e1, e2, attached = dual_eigenvalues(form)
-    ratio = classify_ratio(e1, e2)
-    if ratio is RatioClass.POSITIVE_RATIONAL:
+    r = e1 / e2
+    rclass = ratio_class(r)
+    if rclass is RatioClass.POSITIVE_RATIONAL:
         return False, None
     # the residue pair (alpha_x, alpha_y) is (e2, -e1); with an invariant axis
     # the matrix is triangular and e1, e2 are attached to x and y
@@ -235,15 +234,15 @@ def _terminal_kind(form, axes):
                 else PointKind.SIMPLE_CH_TRACE)
     else:
         kind = PointKind.SEIDENBERG_SIMPLE_RESONANT
-    return True, (kind, res, _SADDLE_NODAL_OF_RATIO[ratio], notes)
+    return True, (kind, res, _SADDLE_NODAL_OF_RATIO[rclass], r, notes)
 
 
 def _reduce_node(form, axes, path, tree, counter, max_depth):
     terminal, data = _terminal_kind(form, axes)
     if terminal:
-        kind, res, sn, notes = data
+        kind, res, sn, r, notes = data
         tree.leaves.append(Leaf(path=path, form=form, kind=kind, residues=res,
-                                axes=dict(axes), saddle_nodal=sn, notes=notes))
+                                axes=dict(axes), saddle_nodal=sn, ratio=r, notes=notes))
         return
     if counter[0] >= max_depth:
         raise DepthExceeded(f"more than {max_depth} blow-ups required")
@@ -279,12 +278,12 @@ def first_blowup_index_sum(form: OneForm):
         terminal, data = _terminal_kind(germ, {exc: "E1"})
         if not terminal:
             raise SaddleNodeUnsupported("non-terminal point after one blow-up")
-        kind, res, _sn, _notes = data
+        kind, _res, _sn, r, _notes = data
         if kind is PointKind.SADDLE_NODE:
             raise SaddleNodeUnsupported("saddle-node after one blow-up")
-        if res is None:
+        if r is None:
             continue
-        idx = camacho_sad_index(res, exc)
+        idx = r if exc == 0 else r.inverse()
         total = total + idx
         out.append({"chart": VARNAMES[exc], "point": t if exc == 0 else None,
                     "index": idx})

@@ -243,7 +243,8 @@ def _check_terminal_residues(form):
         return None
     ax, ay, attached = reference_leaf_residues(form)
     assert data[1] == (ax, ay)
-    assert (data[3] == ()) == attached
+    assert data[3] == -ay / ax
+    assert (data[4] == ()) == attached
     return attached
 
 

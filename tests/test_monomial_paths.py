@@ -155,8 +155,10 @@ def test_an_unlucky_point_moves_on_and_no_lucky_point_falls_back(monkeypatch):
     # goes through it, so y needs the second point; with the first point alone
     # nothing is proved and poly_gcd finds the gcd 1
     p, q = (parse_polynomial(t, 2, 0) for t in ("y + x - 2", "y - x + 2"))
-    assert poly._univariate_gcd_degree(*(poly._specialize(f, 1, poly.SPECIALIZATION_POINTS[0])
-                                         for f in (p, q))) == 1
+    for prime, iota, sigma in poly._certificate_primes(0):
+        images = [poly._image(poly._residues(f, prime, iota, sigma), 1,
+                              poly.SPECIALIZATION_POINTS[0], prime) for f in (p, q)]
+        assert poly._gcd_degree_mod(*images, prime) == 1
     assert poly._proved_coprime(p, q)
     monkeypatch.setattr(poly, "SPECIALIZATION_POINTS", poly.SPECIALIZATION_POINTS[:1])
     assert not poly._proved_coprime(p, q)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from foliationlab import classify, reduce2d
 from foliationlab.classify import PointKind, SaddleNodal, classify_saddle_nodal
 from foliationlab.errors import DepthExceeded
-from foliationlab.field import FieldElement, RatioClass, classify_ratio
+from foliationlab.field import FieldElement, RatioClass, classify_ratio, ratio_class
 from foliationlab.forms import OneForm
 from foliationlab.reduce2d import (_terminal_kind, first_blowup_index_sum, reduce,
                                    verdict_generalized_curve)
@@ -148,8 +148,12 @@ def test_terminal_kind_classifies_one_ratio(texts, d, sn, monkeypatch):
     def counted(x, y):
         calls.append((x, y))
         return classify_ratio(x, y)
-    monkeypatch.setattr(reduce2d, "classify_ratio", counted)
+
+    def counted_ratio(r):
+        calls.append(r)
+        return ratio_class(r)
+    monkeypatch.setattr(reduce2d, "ratio_class", counted_ratio)
     monkeypatch.setattr(classify, "classify_ratio", counted)
-    terminal, (_, _, got, _) = _terminal_kind(form(texts, d), {})
+    terminal, (_, (ax, ay), got, r, _) = _terminal_kind(form(texts, d), {})
     assert terminal and got is sn
-    assert len(calls) == 1
+    assert calls == [r] and r == -ay / ax
