@@ -117,45 +117,58 @@ class FieldElement:
         if not isinstance(other, FieldElement):
             return None, None
         if self.d != other.d:
-            raise FieldParseError(f"mixing elements of Q(i,sqrt({self.d})) and "
-                                  f"Q(i,sqrt({other.d}))")
+            raise _mixing(self, other)
         return self, other
 
     # -- arithmetic ---------------------------------------------------
+    # Results come from _trusted: sums, negations and products of valid
+    # elements are valid, so no result is checked again.
     def __add__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return FieldElement(a.d, a.ar + b.ar, a.ai + b.ai, a.br + b.br, a.bi + b.bi)
+        if isinstance(other, FieldElement):
+            if self.d != other.d:
+                raise _mixing(self, other)
+            return _trusted(self.d, self.ar + other.ar, self.ai + other.ai,
+                            self.br + other.br, self.bi + other.bi)
+        if isinstance(other, (int, Fraction)):
+            return _trusted(self.d, self.ar + other, self.ai, self.br, self.bi)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.d, -self.ar, -self.ai, -self.br, -self.bi)
+        return _trusted(self.d, -self.ar, -self.ai, -self.br, -self.bi)
 
     def __sub__(self, other):
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return FieldElement(a.d, a.ar - b.ar, a.ai - b.ai, a.br - b.br, a.bi - b.bi)
+        if isinstance(other, FieldElement):
+            if self.d != other.d:
+                raise _mixing(self, other)
+            return _trusted(self.d, self.ar - other.ar, self.ai - other.ai,
+                            self.br - other.br, self.bi - other.bi)
+        if isinstance(other, (int, Fraction)):
+            return _trusted(self.d, self.ar - other, self.ai, self.br, self.bi)
+        return NotImplemented
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        a, b = self._pair(other)
-        if a is None:
+        """When either factor lies in Q (an int, a Fraction or a rational
+        element, zero included) it scales the other's four components: four
+        Fraction products instead of the sixteen of _product."""
+        if isinstance(other, FieldElement):
+            if self.d != other.d:
+                raise _mixing(self, other)
+            if not (other.ai or other.br or other.bi):
+                x, k = self, other.ar
+            elif not (self.ai or self.br or self.bi):
+                x, k = other, self.ar
+            else:
+                return _product(self, other)
+        elif isinstance(other, (int, Fraction)):
+            x, k = self, other
+        else:
             return NotImplemented
-        d = a.d
-        # (p + q sqrt(d)) (r + s sqrt(d)) with Gaussian p,q,r,s
-        pr, pi, qr, qi = a.ar, a.ai, a.br, a.bi
-        rr, ri, sr, si = b.ar, b.ai, b.br, b.bi
-        # Gaussian products
-        ar = pr * rr - pi * ri + d * (qr * sr - qi * si)
-        ai = pr * ri + pi * rr + d * (qr * si + qi * sr)
-        br = pr * sr - pi * si + qr * rr - qi * ri
-        bi = pr * si + pi * sr + qr * ri + qi * rr
-        return FieldElement(d, ar, ai, br, bi)
+        return _trusted(x.d, x.ar * k, x.ai * k, x.br * k, x.bi * k)
 
     __rmul__ = __mul__
 
@@ -174,7 +187,7 @@ class FieldElement:
         ai = (self.ai * gr - self.ar * gi) / n
         br = (-self.br * gr - self.bi * gi) / n
         bi = (-self.bi * gr + self.br * gi) / n
-        return FieldElement(d, ar, ai, br, bi)
+        return _trusted(d, ar, ai, br, bi)
 
     def __truediv__(self, other):
         a, b = self._pair(other)
@@ -258,6 +271,35 @@ class FieldElement:
     def basis_coordinates(self):
         """Coordinates over the rational basis (1, i, sqrt(d), i*sqrt(d))."""
         return (self.ar, self.ai, self.br, self.bi)
+
+
+_new = object.__new__
+
+
+def _trusted(d, ar, ai, br, bi):
+    """The element with these components, unchecked: d is square-free or 0,
+    the components are Fractions, and the sqrt part is zero when d = 0."""
+    x = _new(FieldElement)
+    x.d, x.ar, x.ai, x.br, x.bi = d, ar, ai, br, bi
+    return x
+
+
+def _mixing(a, b):
+    return FieldParseError(f"mixing elements of Q(i,sqrt({a.d})) and Q(i,sqrt({b.d}))")
+
+
+def _product(a, b):
+    """a * b for elements of one field, in general: sixteen Fraction products."""
+    d = a.d
+    # (p + q sqrt(d)) (r + s sqrt(d)) with Gaussian p,q,r,s
+    pr, pi, qr, qi = a.ar, a.ai, a.br, a.bi
+    rr, ri, sr, si = b.ar, b.ai, b.br, b.bi
+    # Gaussian products
+    ar = pr * rr - pi * ri + d * (qr * sr - qi * si)
+    ai = pr * ri + pi * rr + d * (qr * si + qi * sr)
+    br = pr * sr - pi * si + qr * rr - qi * ri
+    bi = pr * si + pi * sr + qr * ri + qi * rr
+    return _trusted(d, ar, ai, br, bi)
 
 
 def field_sqrt(x: FieldElement):
@@ -481,29 +523,3 @@ def _positive_kernel_vector(columns, basis):
         out[i] = sp
     # check: n.out = sn*sp - sp*sn + 0 = 0
     return out
-
-
-def resonance_bruteforce(lams, bound=30):
-    """Oracle: search exhaustively for a resonance with sum(m) <= bound."""
-    tau = len(lams)
-    coords = [l.basis_coordinates() for l in lams]
-
-    def rec(i, budget, m):
-        if i == tau:
-            if any(m):
-                total = [Fraction(0)] * 4
-                for mi, c in zip(m, coords):
-                    for j in range(4):
-                        total[j] += mi * c[j]
-                if not any(total):
-                    return tuple(m)
-            return None
-        for v in range(budget + 1):
-            m.append(v)
-            hit = rec(i + 1, budget - v, m)
-            if hit:
-                return hit
-            m.pop()
-        return None
-
-    return rec(0, bound, [])

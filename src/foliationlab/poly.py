@@ -15,13 +15,14 @@ from .field import FieldElement, square_and_multiply
 
 VARNAMES = ("x", "y", "z")
 
-# Caps on a power `base^n` in parsed text, checked before it is expanded, so a
-# one-line coefficient can neither hang the parser nor build a huge integer:
-# the degree of the power, a bound on its term count, and n times the largest
-# bit length in a coefficient of the base, a bound on the coefficients' growth.
-MAX_POWER_DEGREE = 64
-MAX_POWER_TERMS = 128
-MAX_POWER_BITS = 1 << 16
+# Caps on each power `base^n`, product `a*b` and quotient `a/c` by a constant
+# in parsed text, checked before it is formed, so a one-line coefficient can
+# neither hang the parser nor build a huge integer: the degree of the result,
+# a bound on its term count, and a bound on its coefficients' bit length (n
+# times the largest in the base, or the sum of the largest in the operands).
+MAX_PARSED_DEGREE = 64
+MAX_PARSED_TERMS = 128
+MAX_PARSED_BITS = 1 << 16
 # Digits of one integer literal: below the 4300 decimal digits past which
 # Python refuses to convert between int and str, with room for the growth of
 # exact values between input and report.
@@ -729,20 +730,39 @@ class _Tokens:
         return v
 
 
+def _coefficient_bits(p):
+    """The largest bit length of a numerator or denominator in p's coefficients."""
+    return max((max(q.numerator.bit_length(), q.denominator.bit_length())
+                for c in p.terms.values() for q in (c.ar, c.ai, c.br, c.bi)), default=1)
+
+
 def _check_power(base, n):
-    """Refuse base^n (or base^-n) when it would pass one of the power caps."""
+    """Refuse base^n (or base^-n) when it would pass one of the parse caps."""
     deg = max(base.degree(), 0)
-    if deg * n > MAX_POWER_DEGREE:
-        raise FieldParseError(f"power of degree {deg * n} exceeds {MAX_POWER_DEGREE}")
-    bits = max((max(q.numerator.bit_length(), q.denominator.bit_length())
-                for c in base.terms.values() for q in (c.ar, c.ai, c.br, c.bi)), default=1)
-    if bits * n > MAX_POWER_BITS:
+    if deg * n > MAX_PARSED_DEGREE:
+        raise FieldParseError(f"power of degree {deg * n} exceeds {MAX_PARSED_DEGREE}")
+    if _coefficient_bits(base) * n > MAX_PARSED_BITS:
         raise FieldParseError(f"power with exponent {n} would build coefficients "
-                              f"beyond {MAX_POWER_BITS} bits")
+                              f"beyond {MAX_PARSED_BITS} bits")
     t = len(base.terms)
     bound = min(comb(t + n - 1, n), comb(deg * n + base.nvars, base.nvars)) if t else 0
-    if bound > MAX_POWER_TERMS:
-        raise FieldParseError(f"power may have {bound} terms, over {MAX_POWER_TERMS}")
+    if bound > MAX_PARSED_TERMS:
+        raise FieldParseError(f"power may have {bound} terms, over {MAX_PARSED_TERMS}")
+
+
+def _check_product(a, b):
+    """Refuse a*b, or a/b for a constant b, when it would pass one of the parse caps."""
+    if not (a.terms and b.terms):
+        return
+    deg = a.degree() + b.degree()
+    if deg > MAX_PARSED_DEGREE:
+        raise FieldParseError(f"product of degree {deg} exceeds {MAX_PARSED_DEGREE}")
+    if _coefficient_bits(a) + _coefficient_bits(b) > MAX_PARSED_BITS:
+        raise FieldParseError(f"product would build coefficients beyond "
+                              f"{MAX_PARSED_BITS} bits")
+    bound = min(len(a.terms) * len(b.terms), comb(deg + a.nvars, a.nvars))
+    if bound > MAX_PARSED_TERMS:
+        raise FieldParseError(f"product may have {bound} terms, over {MAX_PARSED_TERMS}")
 
 
 def parse_polynomial(text, nvars, d) -> Polynomial:
@@ -807,12 +827,15 @@ def parse_polynomial(text, nvars, d) -> Polynomial:
             k, v = toks.peek()
             if k == "op" and v == "*":
                 toks.next()
-                out = out * power()
+                rhs = power()
+                _check_product(out, rhs)
+                out = out * rhs
             elif k == "op" and v == "/":
                 toks.next()
                 rhs = power()
                 if not rhs.is_constant():
                     raise FieldParseError("division only by constants")
+                _check_product(out, rhs)
                 out = out.scale(rhs.constant_term().inverse())
             else:
                 return out

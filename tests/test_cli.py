@@ -111,10 +111,12 @@ def test_parse_error_exit_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("text", ["(x+y+z+1)^10", "(x+y+z+1)^40", "2^100000000",
                                   pytest.param("1" + "0" * 5000 + "*y",
-                                               id="literal_of_5001_digits")])
+                                               id="literal_of_5001_digits"),
+                                  pytest.param("*".join(["(1+x+y+z)^5"] * 4),
+                                               id="four_chained_powers")])
 def test_oversized_power_exits_one_at_once(text, tmp_path, capsys):
-    # the parser refuses the power before expanding it, and the literal
-    # before int() refuses it with a ValueError
+    # the parser refuses the power or product before expanding it, and the
+    # literal before int() refuses it with a ValueError
     scenario = {"name": "big-power", "dimension": 3, "d": 0,
                 "form": {"coefficients": [text, "y", "z"]}, "analyses": ["classify"]}
     src = tmp_path / "big.json"

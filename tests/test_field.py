@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from foliationlab.errors import DivisionByZero, FieldParseError, ZeroEntry
 from foliationlab.field import (FieldElement, RatioClass, Sign, classify_ratio,
-                                field_sqrt, is_square_free, nonresonant,
-                                resonance_bruteforce)
+                                field_sqrt, is_square_free, nonresonant)
 
 F = FieldElement
 
@@ -143,6 +142,32 @@ def test_resonant_witness_is_exact():
     for m, l in zip(witness, lams):
         total = total + l * F(2, m)
     assert total.is_zero() and any(witness) and all(m >= 0 for m in witness)
+
+
+def resonance_bruteforce(lams, bound=30):
+    """Oracle: search exhaustively for a resonance with sum(m) <= bound."""
+    tau = len(lams)
+    coords = [l.basis_coordinates() for l in lams]
+
+    def rec(i, budget, m):
+        if i == tau:
+            if any(m):
+                total = [Fraction(0)] * 4
+                for mi, c in zip(m, coords):
+                    for j in range(4):
+                        total[j] += mi * c[j]
+                if not any(total):
+                    return tuple(m)
+            return None
+        for v in range(budget + 1):
+            m.append(v)
+            hit = rec(i + 1, budget - v, m)
+            if hit:
+                return hit
+            m.pop()
+        return None
+
+    return rec(0, bound, [])
 
 
 def test_bruteforce_agrees_on_samples():

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from foliationlab.errors import FieldParseError, NotDivisible
 from foliationlab.field import FieldElement
-from foliationlab.poly import (MAX_POWER_BITS, MAX_POWER_DEGREE, MAX_POWER_TERMS, Polynomial,
+from foliationlab.poly import (MAX_PARSED_BITS, MAX_PARSED_DEGREE, MAX_PARSED_TERMS, Polynomial,
                                gcd_many, parse_element, parse_polynomial, poly_gcd)
 
 
@@ -118,20 +118,70 @@ def test_parse_element():
 
 
 def test_power_caps_admit_the_limits_and_refuse_past_them():
-    assert P(f"x^{MAX_POWER_DEGREE}") == Polynomial.var(0, 2, 0) ** MAX_POWER_DEGREE
-    assert len(P(f"(x+y)^{MAX_POWER_DEGREE}").terms) == MAX_POWER_DEGREE + 1
+    assert P(f"x^{MAX_PARSED_DEGREE}") == Polynomial.var(0, 2, 0) ** MAX_PARSED_DEGREE
+    assert len(P(f"(x+y)^{MAX_PARSED_DEGREE}").terms) == MAX_PARSED_DEGREE + 1
     assert len(P("(x+y+z+1)^7", nvars=3).terms) == 120
     assert P("2^-3") == P("1/8")
     assert P("0^0") == P("1") and P("0^5").is_zero() and P("x^0") == P("1")
-    for text in (f"x^{MAX_POWER_DEGREE + 1}", f"(x^2+y)^{MAX_POWER_DEGREE // 2 + 1}",
-                 f"2^{MAX_POWER_BITS}", f"2^-{MAX_POWER_BITS}", "((2^64)^64)^64",
+    for text in (f"x^{MAX_PARSED_DEGREE + 1}", f"(x^2+y)^{MAX_PARSED_DEGREE // 2 + 1}",
+                 f"2^{MAX_PARSED_BITS}", f"2^-{MAX_PARSED_BITS}", "((2^64)^64)^64",
                  "0^100000000"):
         with pytest.raises(FieldParseError):
             P(text)
     # C(4 + 8 - 1, 8) = 165 terms may appear
-    assert MAX_POWER_TERMS < 165
+    assert MAX_PARSED_TERMS < 165
     with pytest.raises(FieldParseError, match="165 terms"):
         P("(x+y+z+1)^8", nvars=3)
+
+
+def test_product_caps_refuse_before_the_product_is_formed(monkeypatch):
+    power = "(1+x+y+z)^5"
+    calls = []
+    mul = Polynomial.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert len(P(power, nvars=3).terms) == 56
+    per_power = len(calls)
+    calls.clear()
+    # 56 * 56 terms of degree 10 in three variables: at most C(13, 3) = 286
+    with pytest.raises(FieldParseError, match="286 terms"):
+        P(f"{power}*{power}", nvars=3)
+    assert len(calls) == 2 * per_power
+    for text, match in ((f"x^40*y^{MAX_PARSED_DEGREE - 39}", "degree 65"),
+                        ("2^30000*2^30000*2^30000", "bits"),
+                        ("x/3^30000/3^30000", "bits")):
+        with pytest.raises(FieldParseError, match=match):
+            P(text)
+    assert P(f"x^40*y^{MAX_PARSED_DEGREE - 40}").degree() == MAX_PARSED_DEGREE
+    assert P("0*(x+y)^60*(x-y)^60").is_zero()
+
+
+@st.composite
+def chained_products(draw):
+    """Products and powers of small factors, nested up to two levels."""
+    def factor(depth):
+        if depth and draw(st.booleans()):
+            inner = "*".join(factor(depth - 1) for _ in range(draw(st.integers(1, 3))))
+            base = f"({inner})"
+        else:
+            base = draw(st.sampled_from(("(1+x+y+z)", "(x-2*y)", "z", "3", "(1/2+i*x)",
+                                         "(x+y)^3", "(2^40+x)")))
+        return f"{base}^{draw(st.integers(0, 12))}" if draw(st.booleans()) else base
+    return "*".join(factor(2) for _ in range(draw(st.integers(1, 6))))
+
+
+@given(chained_products())
+@settings(max_examples=60, deadline=None)
+def test_chained_products_parse_under_the_caps_or_are_refused(text):
+    try:
+        p = P(text, nvars=3)
+    except FieldParseError:
+        return
+    assert p.degree() <= MAX_PARSED_DEGREE and len(p.terms) <= MAX_PARSED_TERMS
 
 
 @pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3)])
