@@ -1,7 +1,7 @@
 """Polynomial 1-forms with optional logarithmic poles along coordinate axes."""
 from __future__ import annotations
 
-from .errors import DimensionError, NotDivisible, ZeroForm
+from .errors import DimensionError, ZeroForm
 from .poly import Polynomial, VARNAMES, gcd_many, parse_polynomial
 
 
@@ -105,35 +105,6 @@ def log_coefficient(form: OneForm, v, variables):
         if w != v and not q.is_zero():
             q = q.exact_div(Polynomial.var(w, form.nvars, form.d))
     return q
-
-
-def _invariant_variables(form: OneForm, variables):
-    """The variables sorted; NotDivisible names the first non-invariant one."""
-    variables = sorted(set(variables))
-    for v in variables:
-        if not invariant_axis(form, v):
-            raise NotDivisible(VARNAMES[v])
-    return variables
-
-
-def to_log_form(form: OneForm, variables):
-    """Re-express a plain form with dx_i/x_i poles along the given variables.
-
-    Each requested hyperplane must be invariant; its own coefficient picks up
-    a factor of the variable.  Raises NotDivisible otherwise.
-    """
-    variables = _invariant_variables(form, variables)
-    return OneForm([log_coefficient(form, j, variables) for j in range(form.nvars)],
-                   log=[j in variables for j in range(form.nvars)])
-
-
-def log_residues(form: OneForm, variables):
-    """Residues of the invariant hyperplanes {x_v = 0}: the constant terms of
-    their logarithmic coefficients.  Raises NotDivisible unless all of the
-    listed hyperplanes are invariant.
-    """
-    variables = _invariant_variables(form, variables)
-    return {v: log_coefficient(form, v, variables).constant_term() for v in variables}
 
 
 def singular_at_origin(form: OneForm) -> bool:

@@ -9,8 +9,10 @@ empirical reach checks.  Everything else in the package is exact.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
+import struct
 import sys
 from collections import deque
 
@@ -63,7 +65,7 @@ class LinearModel:
         """log of  prod_{i<k} |x_i|^{r_i} / prod_{i>=k} |x_i|^{r_i}."""
         if not self.is_nodal:
             raise BadParameters("first integral is defined for nodal models")
-        if any(v == 0 for v in point):
+        if 0 in point:
             raise LeftDomain("the first integral is undefined on the divisor")
         out = 0.0
         for w, v in zip(self.signed_weights, point):
@@ -155,12 +157,17 @@ def _length(paths):
     return sum(getattr(p, "length", 1.0) for p in paths.values())
 
 
-def _step_count(length, start, config):
-    """The RK4 step count n of a lift along paths of total length `length`,
-    after the checks every lift makes before it moves: LeftDomain for a
-    start on the divisor, PathTooLong and StepTooLarge."""
+def _check_start(start):
+    """LeftDomain for a lift that starts on the divisor, the first check every
+    lift makes."""
     if start == 0:
         raise LeftDomain("start value lies on the divisor")
+
+
+def _step_count(length, config):
+    """The RK4 step count n of a lift along paths of total length `length`,
+    after the checks every lift makes before it moves, past its start:
+    PathTooLong and StepTooLarge."""
     if length > config.max_length:
         raise PathTooLong(f"path length {length:.3g} exceeds the configured bound")
     span = max(length, 1.0) / config.step
@@ -169,21 +176,29 @@ def _step_count(length, start, config):
     return max(16, int(math.ceil(span)))
 
 
+_OUTSIDE = "lifted path exited the polydisc or is no finite number"
+
+
+def _fits(u, bound):
+    """Whether e^u is <= bound in modulus: no NaN, and no u whose e^u is no
+    finite float."""
+    try:
+        return cmath.isfinite(u) and math.exp(u.real) <= bound
+    except OverflowError:  # so far out that e^u is no float
+        return False
+
+
 def _check_inside(u, xs, bound):
     """The polydisc guard at one node: raise LeftDomain unless e^u and every
     moving coordinate in xs are <= bound in modulus.  Anything else is
     outside: NaN, and a u whose e^u is no finite float."""
-    try:
-        inside = cmath.isfinite(u) and math.exp(u.real) <= bound
-    except OverflowError:  # so far out that e^u is no float
-        inside = False
-    if inside:
+    if _fits(u, bound):
         for v in xs:
             if not abs(v) <= bound:
                 break
         else:
             return
-    raise LeftDomain("lifted path exited the polydisc or is no finite number")
+    raise LeftDomain(_OUTSIDE)
 
 
 def _unperturbed(model, paths, fiber):
@@ -204,7 +219,8 @@ def _lift_steps(model, paths, fiber, start, config):
     one list that each step overwrites.  The polydisc guard runs after every
     step.
     """
-    n = _step_count(_length(paths), start, config)
+    _check_start(start)
+    n = _step_count(_length(paths), config)
     h = 1.0 / n
     h6 = h / 6
     index = list(paths)
@@ -280,27 +296,73 @@ def rk4_lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
     return cmath.exp(u)
 
 
-def _closed_form(terms, lam_f, length, start, bound, config):
-    """The end value of a lift along log-affine base paths of an unperturbed
-    model, with fiber residue lam_f and polydisc guard radius bound.
+def _leg(terms, lam_f, length, bound, config):
+    """The part of a closed-form lift that does not depend on its start.
 
-    terms holds (lam_i, a_i, d_i, value_i) per moving coordinate, whose path
+    The lift runs along log-affine base paths of an unperturbed model, with
+    fiber residue lam_f and polydisc guard radius bound.  terms holds
+    (lam_i, a_i, d_i, value_i) per moving coordinate, whose path
     x_i(t) = exp(a_i + d_i t) is value_i(a_i, d_i, t), and length is the
     paths' total length.  The fiber's logarithm then moves at the constant
-    rate u' = -sum_i lam_i d_i / lam_f, so the end value is
-    exp(u(0) + u').  Re u and log|x_i| are affine in t, so the polydisc
-    guard at the first and the last RK4 node, h and n h, covers every node
-    in between.  Raises as the RK4 kernel would, with the same step count n.
+    rate u' = -sum_i lam_i d_i / lam_f.  Re u and log|x_i| are affine in t,
+    so the polydisc guard at the first and the last RK4 node, h and n h,
+    covers every node in between.
+
+    Returns (nodes, error).  Each node is (u' t, inside), where inside says
+    whether every x_i at t passes the guard, or holds the error that taking
+    some |x_i| raised.  The nodes stop at the first one not inside.  error
+    is an error that evaluating the paths at the last node raised, or None;
+    at the first node such an error is raised here.  Raises PathTooLong and
+    StepTooLarge as the RK4 kernel would, with the same step count n.
     """
-    n = _step_count(length, start, config)
+    n = _step_count(length, config)
     num = 0
     for lam, _, d, _ in terms:
         num += lam * d
     rate = -num / lam_f
-    u0 = cmath.log(start)
+    nodes = []
     for t in (1.0 / n, n * (1.0 / n)):
-        u = u0 + rate * t
-        _check_inside(u, [value(a, d, t) for _, a, d, value in terms], bound)
+        try:
+            xs = [value(a, d, t) for _, a, d, value in terms]
+        except (OverflowError, ValueError) as e:  # a path value that is no float
+            if not nodes:
+                raise
+            return nodes, e
+        inside = _inside(xs, bound)
+        nodes.append((rate * t, inside))
+        if inside is not True:
+            break
+    return nodes, None
+
+
+def _inside(xs, bound):
+    """Whether every value in xs is <= bound in modulus, read in order up to
+    the first that is not, or the OverflowError of a modulus past any float."""
+    try:
+        for v in xs:
+            if not abs(v) <= bound:
+                return False
+    except OverflowError as e:
+        return e
+    return True
+
+
+def _fiber_end(leg, start, bound):
+    """The end value exp(log start + u' n h) of a closed-form lift along the
+    (nodes, error) of _leg.  At each node the guard reads e^u first, then
+    the base paths, as _check_inside does; LeftDomain when either is
+    outside, and an error that _leg kept is raised where the RK4 kernel
+    would have met it."""
+    nodes, error = leg
+    u0 = cmath.log(start)
+    for rate_t, inside in nodes:
+        u = u0 + rate_t
+        if not _fits(u, bound) or inside is False:
+            raise LeftDomain(_OUTSIDE)
+        if inside is not True:  # taking some |x_i| overflowed
+            raise inside
+    if error is not None:
+        raise error
     return cmath.exp(u)
 
 
@@ -312,8 +374,8 @@ def lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
         u' = - sum_i (lam_i + b_i) (x_i'/x_i) / (lam_f + b_f),  x_f = e^u.
     When every path is log-affine (each carries log_affine, as circle,
     spiral and constant paths do) and no moving or fiber coefficient is
-    perturbed, u' is constant and the lift is the closed form of
-    _closed_form.  Any other lift is integrated by rk4_lift_path.
+    perturbed, u' is constant and the lift is the closed form of _leg and
+    _fiber_end.  Any other lift is integrated by rk4_lift_path.
 
     Either route raises LeftDomain for a start on the divisor or a lift that
     leaves the polydisc, PathTooLong when the path is longer than
@@ -323,8 +385,10 @@ def lift_path(model, paths, fiber, start, config=DEFAULT_CONFIG):
     if not (_unperturbed(model, paths, fiber)
             and all(hasattr(p, "log_affine") for p in paths.values())):
         return rk4_lift_path(model, paths, fiber, start, config)
+    _check_start(start)
     terms = [(model.lam[i], *p.log_affine) for i, p in paths.items()]
-    return _closed_form(terms, model.lam[fiber], _length(paths), start, model.bound, config)
+    leg = _leg(terms, model.lam[fiber], _length(paths), model.bound, config)
+    return _fiber_end(leg, start, model.bound)
 
 
 def loop_multiplier(lam, turns=1):
@@ -386,7 +450,11 @@ def lemma4_constant(lam, rho, eps):
     if not 0 < rho * rho < math.inf:
         raise BadParameters("lemma4_constant needs a rho whose square is a finite "
                             f"nonzero float, not {rho!r}")
-    return eps * math.exp(-2 * ((math.pi + 1) * rho + lam) / (rho * rho))
+    c = eps * math.exp(-2 * ((math.pi + 1) * rho + lam) / (rho * rho))
+    if c == 0:
+        raise BadParameters(f"lemma4_constant underflows to 0.0 at lam={lam!r}, "
+                            f"rho={rho!r}, eps={eps!r}")
+    return c
 
 
 def lemma4_reach_check(lam, rho, eps, trials=100, config=DEFAULT_CONFIG):
@@ -398,6 +466,14 @@ def lemma4_reach_check(lam, rho, eps, trials=100, config=DEFAULT_CONFIG):
     polydisc.  The starts come from a generator seeded with 7.  Both legs
     are spirals on an unperturbed model, so each lift is the closed form of
     lift_path with the polydisc guard at two nodes; nothing is integrated.
+
+    The check cannot fail.  y x^lam is constant along a leaf, so |y| keeps
+    its modulus on the angular leg and shrinks by (ra / alpha)^lam <= 1 on
+    the radial one: every start with 0 < |beta'| < c <= 1 arrives in
+    |y| < c <= eps inside the unit polydisc.  The fraction is 1.0 whenever
+    1e-323 <= c <= 1; below that a start can round to 0.0, on the divisor.
+    So the check guards the closed form and the polydisc guard, and it
+    estimates nothing.
     """
     c = lemma4_constant(lam, rho, eps)
     alpha = 0.5
@@ -417,8 +493,9 @@ def lemma4_reach_check(lam, rho, eps, trials=100, config=DEFAULT_CONFIG):
             y = y0
             for start, end in ((x0, ra), (ra, alpha)):
                 a, d, length = _spiral(start, end, 0)
-                y = _closed_form(((lam_x, a, d, _exp_affine),), lam_y, length, y,
-                                 model.bound, config)
+                _check_start(y)
+                leg = _leg(((lam_x, a, d, _exp_affine),), lam_y, length, model.bound, config)
+                y = _fiber_end(leg, y, model.bound)
         except LeftDomain:
             continue
         if abs(y) < eps:
@@ -444,6 +521,15 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
     with first-integral value beyond the transversal range unreached.  A
     candidate whose lift leaves the polydisc or whose spiral is too long is
     skipped; a lift refused by the RK4 step cap raises StepTooLarge.
+
+    What does not depend on y_g is computed once per grid column, the points
+    that share the bits of x_g: log x_g, the base log x_g - log alpha and the
+    reach max(alpha, |x_g|); and, per winding number k tried there, the
+    contraction factor exp(ratio (base + 2 pi i k)) and, for an unperturbed
+    model, the closed form's leg (_leg).  A point then pays for its start
+    value, the fiber part of the closed form (_fiber_end) and the tolerance
+    test.  The leg is made when a point first needs it, so its errors come
+    at the same candidate as they would without the column.
     """
     if model.tau != 2:
         raise BadParameters("the probe drives two-variable models")
@@ -460,33 +546,56 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
     a = cmath.log(alpha)
     log_alpha = math.log(alpha)
     abs_alpha = abs(alpha)
+    log_half_eps = math.log(eps / 2)
     bound = model.bound
     tol = max(config.tol * 1e3, 1e-6)
     first_integral = model.first_integral_log if model.is_nodal else None
+    columns = {}  # bits of x_g -> (log x_g, base, reach, Re(ratio base), {k: [factor, leg]})
     records = []
     reached = 0
     for (xg, yg) in grid:
         if xg == 0 or yg == 0:
             raise LeftDomain("grid points must avoid the divisor")
+        x = complex(xg)
+        key = _bits(x.real, x.imag)
+        column = columns.get(key)
+        if column is None:
+            log_x = cmath.log(xg)
+            base = log_x - log_alpha
+            column = columns[key] = (log_x, base, max(abs_alpha, abs(xg)),
+                                     (ratio * base).real, {})
+        log_x, base, reach, shift, legs = column
         ok = False
-        log_x = cmath.log(xg)
-        base = log_x - log_alpha
-        reach = max(abs_alpha, abs(xg))
-        near = tol * max(1.0, abs(yg))
-        for k in _turn_candidates(ratio, base, yg, eps):
-            turn = 2j * math.pi * k
-            try:
-                y_start = yg * cmath.exp(ratio * (base + turn))
-            except (OverflowError, ValueError):  # beyond eps, or an infinite phase
+        size_y = abs(yg)
+        near = tol * max(1.0, size_y)
+        for k in _turn_candidates(ratio, log_half_eps - math.log(size_y) - shift):
+            entry = legs.get(k)
+            if entry is None:
+                try:
+                    factor = cmath.exp(ratio * (base + 2j * math.pi * k))
+                except (OverflowError, ValueError):  # beyond eps, or an infinite phase
+                    factor = None
+                entry = legs[k] = [factor, None]
+            factor, leg = entry
+            if factor is None:
                 continue
+            y_start = yg * factor
             size = abs(y_start)
             if size > eps or size == 0:
                 continue
             try:
-                if unperturbed:  # the spiral _spiral(alpha, xg, k), without the path
-                    d = log_x + turn - a
-                    y_end = _closed_form(((lam_x, a, d, _exp_affine),), lam_y,
-                                         abs(d) * reach, y_start, bound, config)
+                if unperturbed:
+                    if leg is None:  # the spiral _spiral(alpha, xg, k), without the path
+                        d = log_x + 2j * math.pi * k - a
+                        try:
+                            leg = _leg(((lam_x, a, d, _exp_affine),), lam_y, abs(d) * reach,
+                                       bound, config)
+                        except PathTooLong as e:
+                            leg = e
+                        entry[1] = leg
+                    if isinstance(leg, PathTooLong):
+                        continue
+                    y_end = _fiber_end(leg, y_start, bound)
                 else:
                     y_end = rk4_lift_path(model, {0: spiral_path(alpha, xg, turns=k)}, 1,
                                           y_start, config)
@@ -503,35 +612,42 @@ def saturation_probe(model, alpha, eps, grid, config=DEFAULT_CONFIG):
             "records": records}
 
 
+# the bits of (Re x_g, Im x_g): log(-1/2 + 0i) and log(-1/2 - 0i) differ by
+# 2 pi i, though the two values compare equal
+_bits = struct.Struct("<dd").pack
+
+
 MAX_TURNS = 40  # the probe tries spirals of at most this many turns
 
 
-def _turn_candidates(ratio, base, yg, eps):
+def _turn_candidates(ratio, target):
     """Winding numbers worth trying at the grid point (x_g, y_g), where
-    base = log x_g - log alpha, best contraction first: k0, then k0 + 1,
-    k0 - 1, ..., k0 + MAX_TURNS - 1, k0 - MAX_TURNS + 1, keeping those with
-    |k| <= MAX_TURNS, or 0 alone when none is kept.  A generator, so the
-    probe computes no candidate past the first it accepts."""
+    target = log(eps / 2) - log |y_g| - Re(ratio (log x_g - log alpha)),
+    best contraction first: k0, then k0 + 1, k0 - 1, ..., k0 + MAX_TURNS - 1,
+    k0 - MAX_TURNS + 1, keeping those with |k| <= MAX_TURNS, or 0 alone when
+    none is kept.  The probe stops at the first candidate it accepts."""
     if abs(ratio.imag) < 1e-12:
-        yield 0
-        return
+        return (0,)
     # |y_start| = |yg| * exp(Re(ratio * shift)); extra turns scale it by
     # exp(-2 pi Im(ratio) k), so aim k at the value that lands inside eps
-    target = math.log(eps / 2) - math.log(abs(yg)) - (ratio * base).real
     k = target / (-2 * math.pi * ratio.imag)
     if not math.isfinite(k):  # no winding number aims at an infinite target
-        yield 0
-        return
+        return (0,)
     k0 = int(round(k))
     if abs(k0) >= 2 * MAX_TURNS:  # k0 +- (MAX_TURNS - 1) all lie past MAX_TURNS
-        yield 0
-        return
-    if abs(k0) <= MAX_TURNS:
-        yield k0
+        return (0,)
+    return _turns_around(k0)
+
+
+@functools.lru_cache(maxsize=4 * MAX_TURNS)  # one entry per |k0| < 2 MAX_TURNS
+def _turns_around(k0):
+    """The candidates of _turn_candidates around the aim k0."""
+    ks = [k0] if abs(k0) <= MAX_TURNS else []
     for dk in range(1, MAX_TURNS):
         for s in (k0 + dk, k0 - dk):
             if abs(s) <= MAX_TURNS:
-                yield s
+                ks.append(s)
+    return tuple(ks)
 
 
 def sweep_csv(records):

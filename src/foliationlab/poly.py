@@ -193,16 +193,6 @@ class Polynomial:
                 terms[tuple(e2)] = c * e[i]
         return Polynomial(self.nvars, self.d, terms)
 
-    def evaluate(self, point):
-        out = FieldElement(self.d, 0)
-        for e, c in self.terms.items():
-            v = c
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    v = v * point[i]
-            out = out + v
-        return out
-
     def substitute(self, images):
         """Full substitution: variable i is replaced by polynomial images[i]."""
         if not self.terms:
@@ -282,12 +272,6 @@ class Polynomial:
         vs = range(self.nvars) if variables is None else variables
         terms = {e: c for e, c in self.terms.items() if sum(e[i] for i in vs) == k}
         return Polynomial(self.nvars, self.d, terms)
-
-    def initial_form(self, variables=None):
-        r = self.order(variables)
-        if r is None:
-            return Polynomial.zero(self.nvars, self.d)
-        return self.homogeneous_part(r, variables)
 
     # -- division -----------------------------------------------------
     def exact_div(self, q):

@@ -413,13 +413,11 @@ def _grid(rec):
                                   for k in ("x_min", "x_max", "y_min", "y_max"))
     x_phase = _field(rec, "x_phase", (int, float), 0.0)
     y_phase = _field(rec, "y_phase", (int, float), 0.0)
-    out = []
-    for i in range(nx):
-        for j in range(ny):
-            x = (x_min + (x_max - x_min) * (i / (nx - 1))) * cmath.exp(1j * x_phase * i)
-            y = (y_min + (y_max - y_min) * (j / (ny - 1))) * cmath.exp(1j * y_phase * j)
-            out.append((x, y))
-    return out
+    xs = [(x_min + (x_max - x_min) * (i / (nx - 1))) * cmath.exp(1j * x_phase * i)
+          for i in range(nx)]
+    ys = [(y_min + (y_max - y_min) * (j / (ny - 1))) * cmath.exp(1j * y_phase * j)
+          for j in range(ny)]
+    return [(x, y) for x in xs for y in ys]
 
 
 def _block(blk):

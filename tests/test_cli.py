@@ -89,6 +89,23 @@ def test_main_csv_artifacts(tmp_path, capsys):
     assert (tmp_path / "out" / "nodal.csv").read_text() == sweep_csv(res["records"])
 
 
+@pytest.mark.parametrize("lam, code", [(90, 0), (100, 1)])
+def test_reach_constant_that_underflows_fails_its_block(lam, code, tmp_path, capsys):
+    scenario = load("holonomy_suite.json")
+    blocks = scenario["holonomy"]["blocks"]
+    scenario["holonomy"]["blocks"] = [{**b, "lam": lam} for b in blocks if b["kind"] == "lemma4"]
+    del scenario["expect"]
+    src = tmp_path / "lemma4.json"
+    src.write_text(json.dumps(scenario))
+    assert main(["holonomy", str(src)]) == code
+    out, err = capsys.readouterr()
+    if code:  # c = 0.0 would put every start on the divisor
+        assert err.startswith("error: holonomy.blocks[0]: ") and "underflows" in err
+    else:  # c = 1.3e-321, subnormal, and every start still arrives
+        [block] = json.loads(out)["analyses"]["holonomy"]["blocks"]
+        assert block["constant"] == 1.3e-321 and block["reach"]["fraction"] == 1.0
+
+
 def test_artifacts_are_rendered_only_when_written(monkeypatch, tmp_path, capsys):
     def unwanted(*args):
         pytest.fail("rendered an artifact no one writes")

@@ -2,12 +2,12 @@
 from __future__ import annotations
 
 import pytest
+from log_forms import log_residues, to_log_form
 
 from foliationlab.errors import NotDivisible, ZeroForm
 from foliationlab.field import FieldElement
-from foliationlab.forms import (OneForm, integrability_check, invariant_axis,
-                                log_residues, saturate, singular_at_origin,
-                                to_log_form, wedge_d_coefficient)
+from foliationlab.forms import (OneForm, integrability_check, invariant_axis, saturate,
+                                singular_at_origin, wedge_d_coefficient)
 from foliationlab.poly import parse_polynomial
 
 

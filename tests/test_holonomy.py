@@ -5,7 +5,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from foliationlab.errors import BadParameters, LeftDomain, StepTooLarge, ZeroLambda
 from foliationlab.holonomy import (MAX_TURNS, LinearModel, NumericConfig,
@@ -91,6 +91,27 @@ def test_lemma4_reach_rate():
     assert rep["fraction"] == 1.0
 
 
+def test_lemma4_constant_refuses_to_underflow():
+    assert lemma4_constant(90, 0.5, 0.1) == 1.3e-321  # subnormal, not yet 0.0
+    with pytest.raises(BadParameters, match="underflows"):
+        lemma4_constant(100, 0.5, 0.1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.2, 60.0), st.floats(1e-3, 1e150), st.floats(1e-300, 1.0))
+@example(90.0, 0.5, 0.1)  # past the range of lam, c = 1.3e-321
+def test_reach_check_cannot_fail(lam, rho, eps):
+    # y x^lam is constant along a leaf, so every start with |y| < c <= 1
+    # arrives; below c = 1e-323 a start can round to 0.0, on the divisor
+    try:
+        c = lemma4_constant(lam, rho, eps)
+    except BadParameters:  # c underflows to 0.0
+        return
+    assume(c >= 1e-323)
+    rep = lemma4_reach_check(lam, rho, eps)
+    assert rep["constant"] == c and rep["fraction"] == 1.0
+
+
 def test_nodal_model_validation():
     with pytest.raises(BadParameters):
         LinearModel.nodal([1.0, 2.0], 2)
@@ -162,8 +183,10 @@ def reference_turn_candidates(ratio, alpha, xg, yg, eps):
 
 def _candidates(ratio, alpha, xg, yg, eps):
     """The winding numbers _turn_candidates yields at the grid point (xg, yg),
-    given the base log xg - log alpha that the probe forms."""
-    return list(_turn_candidates(ratio, cmath.log(xg) - math.log(alpha), yg, eps))
+    given the target the probe forms from its column's base log xg - log alpha."""
+    base = cmath.log(xg) - math.log(alpha)
+    target = math.log(eps / 2) - math.log(abs(yg)) - (ratio * base).real
+    return list(_turn_candidates(ratio, target))
 
 
 def _polar(modulus, angle):

@@ -3,12 +3,13 @@ against frozen copies of the code they replaced (frozen_holonomy): the same
 floats bit for bit, or the same exception type."""
 from __future__ import annotations
 
+import json
 import math
 
 import frozen_holonomy as frozen
 from hypothesis import example, given, settings, strategies as st
 
-from foliationlab import holonomy
+from foliationlab import cli, holonomy
 from foliationlab.errors import FoliationLabError, NonFiniteIntegral
 from foliationlab.holonomy import LinearModel, NumericConfig, circle_path, constant_path, spiral_path
 
@@ -51,9 +52,9 @@ _config = st.builds(NumericConfig, step=st.sampled_from([2e-2, 1e-2, 1e-9]),
 
 
 @st.composite
-def _model(draw, tau=2):
+def _model(draw, tau=2, deltas=_delta):
     kind = draw(st.sampled_from(["complex", "real", "nodal", "perturbed"]))
-    delta = draw(_delta)
+    delta = draw(deltas)
     if kind == "complex":
         return LinearModel([draw(_residue) for _ in range(tau)], delta=delta)
     if kind == "real":
@@ -116,9 +117,56 @@ def test_lemma4_reach_check_matches_frozen(lam, rho, eps, trials, config):
           lam, rho, eps, trials, config)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_model(), st.floats(0.05, 1.0), st.floats(1e-3, 1.0),
-       st.lists(st.tuples(_point, _point), min_size=1, max_size=6), _config)
+# a polydisc of radius 0.3 leaves most grid points outside (LeftDomain); a
+# max_length of 0.5 refuses most spirals (PathTooLong), a step of 1e-9 every
+# lift (StepTooLarge)
+_probe_delta = st.sampled_from([0.3, 1.0, 2.0, 50.0])
+_probe_config = st.builds(NumericConfig, step=st.sampled_from([2e-2, 1e-2, 1e-9]),
+                          max_length=st.sampled_from([0.5, 2.0, 200.0, 2000.0]))
+
+
+@st.composite
+def _windy_model(draw):
+    """A ratio with a small imaginary part: each extra turn changes the
+    contraction little, so a probe that refuses its first candidates goes on
+    to try many winding numbers."""
+    im = draw(st.floats(0.005, 0.2)) * draw(st.sampled_from([1, -1]))
+    return LinearModel([complex(draw(st.floats(-2.0, 2.0)), im), 1.0], delta=draw(_probe_delta))
+
+
+@st.composite
+def _product_grid(draw):
+    """Columns times rows, each with repeats, the points in any order."""
+    xs = draw(st.lists(_point, min_size=1, max_size=3))
+    ys = draw(st.lists(_point, min_size=1, max_size=3))
+    xs += draw(st.lists(st.sampled_from(xs), max_size=2))
+    ys += draw(st.lists(st.sampled_from(ys), max_size=2))
+    return draw(st.permutations([(x, y) for x in xs for y in ys]))
+
+
+@st.composite
+def _signed_zero_grid(draw):
+    """Columns on the negative real axis with imaginary parts +0.0 and -0.0:
+    the two compare equal, but their logarithms differ by 2 pi i."""
+    r = draw(st.floats(0.05, 1.2))
+    ys = draw(st.lists(_point, min_size=1, max_size=3))
+    xs = draw(st.permutations([complex(-r, 0.0), complex(-r, -0.0), complex(-r, 0.0)]))
+    return [(x, y) for x in xs for y in ys]
+
+
+_grid = st.one_of(st.lists(st.tuples(_point, _point), min_size=1, max_size=6),
+                  _product_grid(), _signed_zero_grid())
+# the frozen probe reaches the first of these points and not the second
+_SIGNED_ZERO_Y = 5.482311520734019e-06 + 3.232954191045463e-07j
+_SIGNED_ZERO = ([(complex(-0.9291878547684514, zero), _SIGNED_ZERO_Y) for zero in (0.0, -0.0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_model(deltas=_probe_delta), _windy_model()), st.floats(0.05, 1.0),
+       st.floats(1e-3, 1.0), _grid, _probe_config)
+@example(LinearModel([-1.9682082258564453 + 0.02424281031831073j, 1.0], delta=2.0),
+         0.48870209925823016, 0.5950297906691571, _SIGNED_ZERO,
+         NumericConfig(step=1e-2, max_length=200.0))
 def test_saturation_probe_matches_frozen(model, alpha, eps, grid, config):
     if model.perturbations[0] is not None:
         # RK4 lifts of spirals with up to MAX_TURNS turns are slow; keep
@@ -126,6 +174,19 @@ def test_saturation_probe_matches_frozen(model, alpha, eps, grid, config):
         model = LinearModel([l.real for l in model.lam], delta=model.delta,
                             perturbations=model.perturbations)
     _same(holonomy.saturation_probe, frozen.saturation_probe, model, alpha, eps, grid, config)
+
+
+def test_holonomy_suite_report_matches_frozen_probe(monkeypatch):
+    with open(dict(cli.corpus_files())["holonomy_suite.json"]) as fh:
+        scenario = json.load(fh)
+    report, code, artifacts = cli.run_scenario(scenario)
+    csvs = {name: render() for name, render in artifacts.items()}
+    monkeypatch.setattr(cli, "saturation_probe", frozen.saturation_probe)
+    ref_report, ref_code, ref_artifacts = cli.run_scenario(scenario)
+    assert code == ref_code == 0
+    assert _bits(report) == _bits(ref_report)
+    assert csvs == {name: render() for name, render in ref_artifacts.items()}
+    assert sorted(csvs) == ["complex_saddle.csv", "nodal.csv", "real_saddle.csv"]
 
 
 def test_overflowing_first_integral_matches_frozen_until_the_drift():

@@ -5,13 +5,13 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from log_forms import log_residues, to_log_form
 
 from foliationlab.blowup import CenterSpec, center_in_singular_locus
 from foliationlab.classify import linear_part_matrix
 from foliationlab.errors import NonRationalEigenvalues, NotDivisible
 from foliationlab.field import FieldElement
-from foliationlab.forms import (OneForm, invariant_axis, log_coefficient, log_residues,
-                                to_log_form)
+from foliationlab.forms import OneForm, invariant_axis, log_coefficient
 from foliationlab.poly import VARNAMES, Polynomial
 from foliationlab.reduce2d import _terminal_kind, dual_eigenvalues
 

@@ -2,6 +2,7 @@
 analysis runs, and no mutation of a corpus scenario ends in a traceback."""
 from __future__ import annotations
 
+import cmath
 import contextlib
 import copy
 import io
@@ -16,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from foliationlab import cli
+from foliationlab import cli, scenario
 from foliationlab.cli import corpus_files, expectation_met, main
 from foliationlab.divisorgraph import DivisorGraph
 from foliationlab.field import is_square_free
@@ -198,6 +199,41 @@ def test_extreme_holonomy_floats_exit_one_and_write_no_nan(case, tmp_path, capsy
     out, err = capsys.readouterr()
     assert code == 1 and err.startswith(f"error: holonomy.blocks[{block}]: ")
     assert "NaN" not in out and not (tmp_path / "out" / "report.json").exists()
+
+
+def reference_grid(rec):
+    """The double loop scenario._grid replaced, verbatim: 2 nx ny complex
+    exponentials."""
+    nx, ny = rec.get("nx", 20), rec.get("ny", 20)
+    x_min, x_max, y_min, y_max = (rec[k] for k in ("x_min", "x_max", "y_min", "y_max"))
+    x_phase = rec.get("x_phase", 0.0)
+    y_phase = rec.get("y_phase", 0.0)
+    out = []
+    for i in range(nx):
+        for j in range(ny):
+            x = (x_min + (x_max - x_min) * (i / (nx - 1))) * cmath.exp(1j * x_phase * i)
+            y = (y_min + (y_max - y_min) * (j / (ny - 1))) * cmath.exp(1j * y_phase * j)
+            out.append((x, y))
+    return out
+
+
+def _hex(points):
+    return [tuple(c.hex() for v in p for c in (v.real, v.imag)) for p in points]
+
+
+_end = st.one_of(st.integers(-3, 3), st.floats(-3.0, 3.0))
+_phase = st.one_of(st.integers(-7, 7), st.floats(-50.0, 50.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fixed_dictionaries({"nx": st.integers(2, 7), "ny": st.integers(2, 7),
+                              "x_min": _end, "x_max": _end, "y_min": _end, "y_max": _end},
+                             optional={"x_phase": _phase, "y_phase": _phase}))
+def test_grid_from_its_axes_is_the_double_loop(rec):
+    got = scenario._grid(rec)
+    assert _hex(got) == _hex(reference_grid(rec))
+    assert all(got[i * rec["ny"]][0] is got[i * rec["ny"] + j][0]
+               for i in range(rec["nx"]) for j in range(rec["ny"]))
 
 
 def test_discriminant_square_free_test_runs_once_per_d():
