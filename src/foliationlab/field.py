@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import DivisionByZero, FieldParseError, NumberTooLong, ZeroEntry
+from .errors import DimensionError, DivisionByZero, FieldParseError, NumberTooLong, ZeroEntry
 
 
 @lru_cache(maxsize=None)  # every FieldElement asks; trial division runs once per d
@@ -457,69 +457,33 @@ def _scale_to_integers(v):
 
 
 def nonresonant(lams):
-    """Decide Definition-style non-resonance of a tuple of field elements.
+    """Decide Definition-style non-resonance of one to three field elements.
 
     Returns ("nonresonant", None) or ("resonant", m) where m is a nonzero
     tuple of non-negative integers with sum(m_i * lam_i) = 0.
+
+    Supports are tried by increasing size; one is resonant iff its kernel is
+    one basis vector with positive entries (it has a 1 at its free column, so
+    it is never all negative).  A larger kernel on at most three nonzero
+    columns means rank one, columns q_j v: such a triple is tried only when no
+    pair was resonant, so all q_j have one sign and no positive vector exists.
     """
     tau = len(lams)
+    if tau > 3:
+        raise DimensionError("the resonance test takes at most three entries")
     if any(l.is_zero() for l in lams):
         raise ZeroEntry("resonance test requires nonzero entries")
     cols = [l.basis_coordinates() for l in lams]
-    # enumerate supports by increasing size; tau <= 3 in practice
     supports = []
     for mask in range(1, 1 << tau):
         supports.append([i for i in range(tau) if mask >> i & 1])
     supports.sort(key=len)
     for sup in supports:
-        sub = [cols[i] for i in sup]
-        basis = _kernel_basis(sub)
-        if not basis:
-            continue
-        pos = _positive_kernel_vector(sub, basis)
-        if pos is None:
+        basis = _kernel_basis([cols[i] for i in sup])
+        if len(basis) != 1 or any(x <= 0 for x in basis[0]):
             continue
         m = [0] * tau
-        ints = _scale_to_integers(pos)
-        if any(x <= 0 for x in ints):
-            continue
-        for i, s in enumerate(sup):
-            m[s] = ints[i]
+        for s, k in zip(sup, _scale_to_integers(basis[0])):
+            m[s] = k
         return ("resonant", tuple(m))
     return ("nonresonant", None)
-
-
-def _positive_kernel_vector(columns, basis):
-    """Strictly positive rational vector in the kernel, if any."""
-    k = len(columns)
-    if len(basis) == 1:
-        v = basis[0]
-        if all(x > 0 for x in v):
-            return v
-        if all(x < 0 for x in v):
-            return [-x for x in v]
-        return None
-    # kernel dimension >= 2 with k <= 3 forces rank <= 1: all constraint rows
-    # are multiples of a single normal vector n; solutions = {x : n.x = 0}.
-    n = None
-    for i in range(4):
-        row = [columns[j][i] for j in range(k)]
-        if any(row):
-            n = row
-            break
-    if n is None:
-        # zero matrix: every column is zero (excluded upstream), any positive vector works
-        return [Fraction(1)] * k
-    pos = [i for i in range(k) if n[i] > 0]
-    neg = [i for i in range(k) if n[i] < 0]
-    if not pos or not neg:
-        return None
-    sp = sum(n[i] for i in pos)
-    sn = -sum(n[i] for i in neg)
-    out = [Fraction(1)] * k
-    for i in pos:
-        out[i] = sn
-    for i in neg:
-        out[i] = sp
-    # check: n.out = sn*sp - sp*sn + 0 = 0
-    return out

@@ -451,8 +451,8 @@ def lemma4_constant(lam, rho, eps):
         raise BadParameters("lemma4_constant needs a rho whose square is a finite "
                             f"nonzero float, not {rho!r}")
     c = eps * math.exp(-2 * ((math.pi + 1) * rho + lam) / (rho * rho))
-    if c == 0:
-        raise BadParameters(f"lemma4_constant underflows to 0.0 at lam={lam!r}, "
+    if c < 1e-323:  # then c / 2, the reach check's fallback start, is 0.0
+        raise BadParameters(f"lemma4_constant underflows below 1e-323 at lam={lam!r}, "
                             f"rho={rho!r}, eps={eps!r}")
     return c
 
@@ -471,9 +471,9 @@ def lemma4_reach_check(lam, rho, eps, trials=100, config=DEFAULT_CONFIG):
     its modulus on the angular leg and shrinks by (ra / alpha)^lam <= 1 on
     the radial one: every start with 0 < |beta'| < c <= 1 arrives in
     |y| < c <= eps inside the unit polydisc.  The fraction is 1.0 whenever
-    1e-323 <= c <= 1; below that a start can round to 0.0, on the divisor.
-    So the check guards the closed form and the polydisc guard, and it
-    estimates nothing.
+    1e-323 <= c <= 1; below that a start can round to 0.0, on the divisor,
+    and lemma4_constant refuses such a c.  So the check guards the closed
+    form and the polydisc guard, and it estimates nothing.
     """
     c = lemma4_constant(lam, rho, eps)
     alpha = 0.5

@@ -11,13 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield
 
 from .blowup import CenterSpec, blow_up_germ
-from .classify import PointKind, SaddleNodal, linear_part_matrix
+from .classify import PointKind, SaddleNodal
 from .errors import (DepthExceeded, DimensionError, IncompleteTree,
                      NonRationalEigenvalues, NonRationalSingularPoint,
                      SaddleNodeUnsupported, ZeroForm)
-from .field import (FieldElement, RatioClass, field_sqrt, nonresonant,
-                    ratio_class)
-from .forms import OneForm, invariant_axis, saturate, singular_at_origin
+from .field import FieldElement, RatioClass, field_sqrt, ratio_class
+from .forms import OneForm, saturate, singular_at_origin
 from .poly import VARNAMES, gcd_many
 from .solve import univariate_roots
 
@@ -25,7 +24,6 @@ from .solve import univariate_roots
 @dataclass
 class Leaf:
     path: tuple
-    form: OneForm
     kind: PointKind
     residues: tuple | None          # (alpha_x, alpha_y) attached to the local axes
     axes: dict                      # local variable -> exceptional component id
@@ -117,13 +115,13 @@ class ReductionTree:
         return "\n".join(lines)
 
 
-def dual_eigenvalues(form: OneForm):
-    """Eigenvalues of the linear part of the dual field, as field elements.
+def dual_eigenvalues(m):
+    """Eigenvalues of the linear part m of the dual field (as linear_part_matrix
+    reads it), as field elements.
 
     Returns (e1, e2, axis_attached) where axis_attached is True when e1
     belongs to the x-direction and e2 to the y-direction.
     """
-    m = linear_part_matrix(form)
     if m[0][1].is_zero() or m[1][0].is_zero():
         return m[0][0], m[1][1], True
     tr = m[0][0] + m[1][1]
@@ -132,8 +130,45 @@ def dual_eigenvalues(form: OneForm):
     if s is None:
         raise NonRationalEigenvalues(
             "eigenvalues leave the field; enlarge the discriminant")
-    two = FieldElement(form.d, 2)
+    two = FieldElement(tr.d, 2)
     return (tr + s) / two, (tr - s) / two, False
+
+
+def taylor_data(form: OneForm, t):
+    """(m, inv) of the germ of a dx + b dy at a singular point (0, t), read off
+    the unshifted coefficients: m as linear_part_matrix reads it from the germ
+    shifted to the origin, inv its invariant local axes (0: {x = 0}, 1: {y = t}).
+
+    The x^k coefficient of a(x, t) sums c t^j over the terms c x^k y^j, and
+    the first derivatives at (0, t) are such sums.  {x = 0} is invariant iff
+    x divides b; {y = t} iff every x^k coefficient of a(x, t) vanishes, as
+    the one for k = 0 does at a singular point.
+    """
+    zero = FieldElement(form.d, 0)
+    t_zero = t.is_zero()
+    powers = [None, t]
+
+    def at(p, k, dy=False):
+        """The x^k coefficient of p(x, t), or of dp/dy(x, t) with dy."""
+        s = zero
+        for (i, j), c in p.terms.items():
+            if i != k or j < dy or (j > dy and t_zero):
+                continue
+            if dy:
+                c, j = c * j, j - 1
+            if j:
+                while len(powers) <= j:
+                    powers.append(powers[-1] * t)
+                c = c * powers[j]
+            s = s + c
+        return s
+
+    a, b = form.plain_coefficients()
+    m = [[-at(b, 1), -at(b, 0, True)], [at(a, 1), at(a, 0, True)]]
+    inv = [0] if all(i for i, _ in b.terms) else []
+    if m[1][0].is_zero() and all(at(a, k).is_zero() for k in range(2, a.degree_in(0) + 1)):
+        inv.append(1)
+    return m, inv
 
 
 def singular_points_on_exceptional(form: OneForm, exc_var):
@@ -157,10 +192,11 @@ def singular_points_on_exceptional(form: OneForm, exc_var):
 def exceptional_points(form: OneForm):
     """Blow up a plane germ at the origin; list the singular exceptional points.
 
-    Returns (dicritical, points).  points holds (exc, t, germ): first the
-    singular points (0, t) of chart x (exc = 0) in the order univariate_roots
-    finds them, then the origin of chart y (exc = 1, t = 0) when it is
-    singular.  form must be saturated; so is each germ, shifted to the origin.
+    Returns (dicritical, points).  points holds (exc, t, chart form): first
+    the singular points (0, t) of chart x (exc = 0) in the order
+    univariate_roots finds them, then the origin of chart y (exc = 1, t = 0)
+    when it is singular.  form must be saturated; so is each chart form, and
+    nothing is shifted here (see taylor_data and _reduce_node).
     """
     info, charts = blow_up_germ(form, CenterSpec.origin(2, form.d))
     (_, chart_x), (_, chart_y) = charts
@@ -168,8 +204,7 @@ def exceptional_points(form: OneForm):
     roots, leftover = singular_points_on_exceptional(chart_x, 0)
     if leftover:
         raise NonRationalSingularPoint(leftover)
-    points = [(0, t, OneForm([c.shift([zero, t]) for c in chart_x.plain_coefficients()]))
-              for t, _mult in roots]
+    points = [(0, t, chart_x) for t, _mult in roots]
     # the second chart only contributes its origin (vertical direction)
     if singular_at_origin(chart_y):
         points.append((1, zero, chart_y))
@@ -183,7 +218,7 @@ def reduce(form: OneForm, max_depth: int = 24) -> ReductionTree:
     sat, _ = saturate(form)
     tree = ReductionTree(root=sat)
     counter = [0]
-    _reduce_node(sat, {}, (), tree, counter, max_depth)
+    _reduce_node(sat, None, {}, (), tree, counter, max_depth)
     return tree
 
 
@@ -199,23 +234,28 @@ _SADDLE_NODAL_OF_RATIO = {
 }
 
 
-def _terminal_kind(form, axes):
-    """Classify a germ already known to be terminal (or decide it is not).
+def _terminal_kind(form, axes, t=None):
+    """Classify the germ of form at (0, t) as terminal, or decide it is not.
 
-    Returns (is_terminal, Leaf fields) following the eigenvalue criterion;
-    the fields are (kind, residues, saddle_nodal, ratio, notes), with ratio
-    the eigenvalue ratio e1 / e2, formed once here.
+    t is None for a germ at the origin not yet known to be singular; a t from
+    exceptional_points is a singular point.  Returns (is_terminal, Leaf
+    fields) following the eigenvalue criterion; the fields are (kind,
+    residues, saddle_nodal, ratio, notes), with ratio = e1 / e2 formed once
+    here.  A terminal ratio is no positive rational, so the residues (e2, -e1)
+    are nonresonant: m1 e2 = m2 e1 with m >= 0, m != 0 makes e1 / e2 = m1 / m2.
     """
-    if not singular_at_origin(form):
-        return True, (PointKind.NON_SINGULAR_NC, None, None, None, ())
-    m = linear_part_matrix(form)
+    if t is None:
+        if not singular_at_origin(form):
+            return True, (PointKind.NON_SINGULAR_NC, None, None, None, ())
+        t = FieldElement(form.d, 0)
+    m, inv = taylor_data(form, t)
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     tr = m[0][0] + m[1][1]
     if det.is_zero():
         if tr.is_zero():
             return False, None
         return True, (PointKind.SADDLE_NODE, None, None, None, ())
-    e1, e2, attached = dual_eigenvalues(form)
+    e1, e2, attached = dual_eigenvalues(m)
     r = e1 / e2
     rclass = ratio_class(r)
     if rclass is RatioClass.POSITIVE_RATIONAL:
@@ -223,29 +263,26 @@ def _terminal_kind(form, axes):
     # the residue pair (alpha_x, alpha_y) is (e2, -e1); with an invariant axis
     # the matrix is triangular and e1, e2 are attached to x and y
     res = (e2, -e1)
-    verdict, witness = nonresonant(res)
-    inv = [v for v in (0, 1) if invariant_axis(form, v)]
     on_divisor = sum(1 for v in inv if v in axes)
-    notes = ()
-    if not attached:
-        notes = ("residues not attached to coordinate axes",)
-    if verdict == "nonresonant":
-        kind = (PointKind.SIMPLE_CH_CORNER if len(inv) == 2 and on_divisor == 2
-                else PointKind.SIMPLE_CH_TRACE)
-    else:
-        kind = PointKind.SEIDENBERG_SIMPLE_RESONANT
+    notes = () if attached else ("residues not attached to coordinate axes",)
+    kind = (PointKind.SIMPLE_CH_CORNER if len(inv) == 2 and on_divisor == 2
+            else PointKind.SIMPLE_CH_TRACE)
     return True, (kind, res, _SADDLE_NODAL_OF_RATIO[rclass], r, notes)
 
 
-def _reduce_node(form, axes, path, tree, counter, max_depth):
-    terminal, data = _terminal_kind(form, axes)
+def _reduce_node(form, t, axes, path, tree, counter, max_depth):
+    """Reduce the germ at (0, t), t None for the root; shift only to blow up."""
+    terminal, data = _terminal_kind(form, axes, t)
     if terminal:
         kind, res, sn, r, notes = data
-        tree.leaves.append(Leaf(path=path, form=form, kind=kind, residues=res,
-                                axes=dict(axes), saddle_nodal=sn, ratio=r, notes=notes))
+        tree.leaves.append(Leaf(path=path, kind=kind, residues=res, axes=dict(axes),
+                                saddle_nodal=sn, ratio=r, notes=notes))
         return
     if counter[0] >= max_depth:
         raise DepthExceeded(f"more than {max_depth} blow-ups required")
+    if t is not None and not t.is_zero():
+        zero = FieldElement(form.d, 0)
+        form = OneForm([c.shift([zero, t]) for c in form.plain_coefficients()])
     counter[0] += 1
     tree.blowups += 1
     comp_id = f"E{tree.blowups}"
@@ -255,12 +292,12 @@ def _reduce_node(form, axes, path, tree, counter, max_depth):
     tree.components[comp_id] = {"self_intersection": -1, "invariant": not dicritical}
     # chart x points by parameter, then the chart y origin: this visiting
     # order fixes the leaf order and the component ids
-    for exc, t, germ in sorted(points, key=lambda p: (p[0], str(p[1]))):
+    for exc, t, chart in sorted(points, key=lambda p: (p[0], str(p[1]))):
         other = 1 - exc
         child_axes = {exc: comp_id}
         if t.is_zero() and other in axes:
             child_axes[other] = axes[other]
-        _reduce_node(germ, child_axes, path + (f"{VARNAMES[exc]}:{t}",),
+        _reduce_node(chart, t, child_axes, path + (f"{VARNAMES[exc]}:{t}",),
                      tree, counter, max_depth)
 
 
@@ -274,8 +311,8 @@ def first_blowup_index_sum(form: OneForm):
     dicritical, points = exceptional_points(sat)
     total = FieldElement(form.d, 0)
     out = []
-    for exc, t, germ in points:
-        terminal, data = _terminal_kind(germ, {exc: "E1"})
+    for exc, t, chart in points:
+        terminal, data = _terminal_kind(chart, {exc: "E1"}, t)
         if not terminal:
             raise SaddleNodeUnsupported("non-terminal point after one blow-up")
         kind, _res, _sn, r, _notes = data

@@ -31,6 +31,10 @@ MAX_D = 10 ** 6
 MAX_GRID_POINTS = 10 ** 4
 MAX_TRIALS = 10 ** 4
 
+# Largest max_depth, the blow-up budget of reduce2d: 10 times the most blow-ups
+# any bundled input needs, 12 (y^11 - c x^12 among the benchmark's plane germs).
+MAX_DEPTH = 120
+
 ANALYSES = ("classify", "dicritical", "reduce2d", "graph", "holonomy")
 
 
@@ -90,8 +94,9 @@ def check(doc, analyses=None, form=None):
     dicritical_vars = _variables(doc, "dicritical_vars", nvars)
     probe = _probe(doc.get("probe"), d)
     max_depth = _field(doc, "max_depth", (int,), 24)
-    if max_depth < 0:
-        raise ScenarioError(f"'max_depth' must be a non-negative integer, not {max_depth}")
+    if not 0 <= max_depth <= MAX_DEPTH:
+        raise ScenarioError(f"'max_depth' must be an integer from 0 to {MAX_DEPTH}, "
+                            f"not {max_depth}")
     script = _script(_field(doc, "script", (list,), []), nvars, d)
     graph = _graph(doc["graph"]) if "graph" in doc else None
     flags = _flags(doc, "flags")

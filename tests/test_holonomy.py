@@ -5,7 +5,7 @@ import cmath
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foliationlab.errors import BadParameters, LeftDomain, StepTooLarge, ZeroLambda
 from foliationlab.holonomy import (MAX_TURNS, LinearModel, NumericConfig,
@@ -97,6 +97,19 @@ def test_lemma4_constant_refuses_to_underflow():
         lemma4_constant(100, 0.5, 0.1)
 
 
+def test_lemma4_constant_refuses_a_constant_whose_half_is_zero():
+    # c = 5e-324: c * random() and the fallback c / 2 round to 0.0, which put
+    # about half of the starts on the divisor
+    for f in (lemma4_constant, lemma4_reach_check):
+        with pytest.raises(BadParameters, match="underflows below 1e-323"):
+            f(90.79620298878072, 0.5, 0.1)
+    # the largest lam whose constant is still 1e-323: every start arrives
+    rep = lemma4_reach_check(90.64994408219944, 0.5, 0.1)
+    assert rep["constant"] == 1e-323 and rep["fraction"] == 1.0
+    with pytest.raises(BadParameters):
+        lemma4_constant(90.64994408219945, 0.5, 0.1)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.2, 60.0), st.floats(1e-3, 1e150), st.floats(1e-300, 1.0))
 @example(90.0, 0.5, 0.1)  # past the range of lam, c = 1.3e-321
@@ -105,9 +118,9 @@ def test_reach_check_cannot_fail(lam, rho, eps):
     # arrives; below c = 1e-323 a start can round to 0.0, on the divisor
     try:
         c = lemma4_constant(lam, rho, eps)
-    except BadParameters:  # c underflows to 0.0
+    except BadParameters:  # c underflows below 1e-323
         return
-    assume(c >= 1e-323)
+    assert c >= 1e-323
     rep = lemma4_reach_check(lam, rho, eps)
     assert rep["constant"] == c and rep["fraction"] == 1.0
 

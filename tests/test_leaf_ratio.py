@@ -69,7 +69,9 @@ def reference_first_blowup_index_sum(form):
     dicritical, points = exceptional_points(sat)
     total = FieldElement(form.d, 0)
     out = []
-    for exc, t, germ in points:
+    for exc, t, chart in points:
+        # the germ at (0, t) shifted to the origin, classified there
+        germ = OneForm([c.shift([FieldElement(form.d, 0), t]) for c in chart.plain_coefficients()])
         terminal, data = _terminal_kind(germ, {exc: "E1"})
         if not terminal:
             raise SaddleNodeUnsupported("non-terminal point after one blow-up")

@@ -122,7 +122,7 @@ def reference_leaf_residues(form: OneForm):
     m = linear_part_matrix(form)
     if m[0][1].is_zero() or m[1][0].is_zero():
         return m[1][1], -m[0][0], True
-    e1, e2, _ = dual_eigenvalues(form)
+    e1, e2, _ = dual_eigenvalues(m)
     return e2, -e1, False
 
 

@@ -37,6 +37,8 @@ MALFORMED = {
     "analyses_an_int": ("cusp.json", ["analyses"], 3, "'analyses'"),
     "analyses_entry_an_int": ("cusp.json", ["analyses"], ["reduce2d", 3], "'analyses[1]'"),
     "max_depth_a_string": ("cusp.json", ["max_depth"], "3", "'max_depth'"),
+    "max_depth_past_its_bound": ("cusp.json", ["max_depth"], 10 ** 6,
+                                 "'max_depth' must be an integer from 0 to 120"),
     "graph_a_string": ("nodal_counterexample_graph.json", ["graph"], "g", "'graph'"),
     "component_without_id": ("nodal_counterexample_graph.json",
                              ["graph", "components", 0, "id"], DROP,
@@ -118,6 +120,15 @@ def test_malformed_scenario_exits_one_naming_the_field(case, tmp_path, capsys):
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err, err
+
+
+@pytest.mark.parametrize("depth, code", [(120, 0), (121, 1), (-1, 1)])
+def test_max_depth_flag_is_held_to_the_schema_bound(depth, code, capsys):
+    assert scenario.MAX_DEPTH == 120
+    src = str(dict(corpus_files())["cusp.json"])
+    assert main(["reduce2d", src, "--max-depth", str(depth)]) == code
+    err = capsys.readouterr().err
+    assert ("'max_depth' must be an integer from 0 to 120" in err) == bool(code), err
 
 
 def test_malformed_scenarios_exit_one_without_assertions(tmp_path):

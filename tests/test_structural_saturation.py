@@ -116,6 +116,11 @@ def test_no_gcd_after_the_root_is_saturated(monkeypatch):
     assert sorted(c.path for c in atlas.leaf_charts()) == [("x", "x"), ("x", "y"), ("y",)]
     dicritical, points = reduce2d.exceptional_points(root)
     assert not dicritical and sorted(str(t) for _, t, _ in points) == ["-1", "1"]
+    # both points come with the one unshifted chart x form, and classifying
+    # their germs from it takes no gcd either
+    for exc, t, chart in points:
+        assert exc == 0 and chart is points[0][2]
+        assert reduce2d._terminal_kind(chart, {0: "E1"}, t)[0]
 
 
 def slow_gcd_germ():
